@@ -27,7 +27,6 @@ finds work is only known at dispatch time, after same-cycle arrivals.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable, List, Optional
 
 from repro.hardware import fastpath, sanitize
@@ -135,22 +134,16 @@ class _OutputArbiter:
         self._next_input = (chosen + 1) % radix
         self._in_flight = packet
         delay = packet.words * self.cycles_per_word
-        # Inlined Engine.schedule_after: two heap entries per transfer make
-        # this the single hottest scheduling site in the machine.
-        engine = self.engine
-        now = engine._now
-        sequence = engine._sequence
-        event_queue = engine._queue
-        heappush(
-            event_queue,
-            [now + (delay if delay > 0 else 1), next(sequence), self._finish],
-        )
         # Popping may have exposed a new head packet bound for a sibling
-        # output; let the other arbiters re-scan (deferred to avoid deep
-        # recursion chains through listener callbacks).  Never elided: a
-        # packet arriving later in this same cycle can give the re-scan
-        # real work (and conflict counts) only visible at dispatch time.
-        heappush(event_queue, [now, next(sequence), switch.wake_all])
+        # output; let the other arbiters re-scan this cycle (deferred to
+        # avoid deep recursion chains through listener callbacks).  Never
+        # elided: a packet arriving later in this same cycle can give the
+        # re-scan real work (and conflict counts) only visible at dispatch
+        # time.  One engine call queues both events: this is the hottest
+        # scheduling site in the machine.
+        self.engine.schedule_pair(
+            delay if delay > 0 else 1, self._finish, switch.wake_all
+        )
 
     def _select_input(self) -> Optional[int]:
         """Next input (round-robin) whose head routes here and fits downstream."""

@@ -4,21 +4,25 @@ Time is measured in integer CE instruction cycles (170 ns each).  Components
 schedule callbacks at absolute cycles; ties are broken by scheduling order so
 runs are deterministic.
 
-Two dispatch loops produce the *same* event stream:
+The event queue is a calendar queue (Brown, CACM 1988) with one bucket per
+cycle: a dict from cycle to the list of callbacks due then, plus a heap of
+the distinct cycles that own a bucket.  Cedar's delays are small fixed cycle
+counts, so many events share a cycle and the heap is touched once per
+distinct cycle rather than twice per event.
 
-* the **fast** loop (default) drains every event sharing the current cycle
-  in one heap pass before dispatching the batch, and fast-forwards the clock
-  over idle gaps (counting the skipped cycles);
-* the **legacy** loop pops one event at a time, exactly as the original
-  implementation did.
+**Bucket order is heap order.**  A ``(cycle, sequence)`` heap breaks ties by
+a counter that only grows, so within one cycle it yields events in the order
+they were scheduled -- which is exactly the order of appends to that
+cycle's bucket.  A delay-0 schedule made by a callback that is dispatching
+appends to the bucket being iterated, after everything already in it: the
+same place a heap would have put it.  ``tests/hardware/reference_engine.py``
+keeps the one-event-at-a-time heap loop as the oracle the differential
+tests compare this engine against.
 
-Batching is order-preserving because any event a callback schedules draws a
-later sequence number than everything already popped, so dispatching the
-batch front-to-back and then re-draining the heap is exactly heap order.
-The loop is selected per engine at construction from
-:mod:`repro.hardware.fastpath` (``CEDAR_FASTPATH=0`` forces legacy), and the
-determinism tests assert both produce identical results and identical
-``events_dispatched`` counts.
+**Cancelled recurrences.**  A :class:`RecurringEvent` cancelled while its
+occurrence is queued has that bucket slot replaced by an inert no-op.  The
+slot still dispatches, and counts, at its cycle, so ``events_dispatched``
+and ``idle_cycles_skipped`` are what a heap holding the dead entry reports.
 
 Idle fast-forward relies on one invariant: **no component mutates simulation
 state off-queue**.  All state changes happen inside event callbacks (or
@@ -30,40 +34,30 @@ progress is only legal from within a dispatching callback.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.hardware import fastpath, sanitize
+from repro.hardware import sanitize
 
 Callback = Callable[[], None]
 
 
 def _cancelled() -> None:
-    """Dispatch target of a cancelled recurring occurrence (a no-op).
-
-    The dead heap entry cannot be removed from the middle of the heap, so
-    it is neutralized in place and dispatched as an inert event; both
-    dispatch loops count it identically, preserving A/B equivalence.
-    """
-
-#: Heap entries are mutable ``[cycle, sequence, callback]`` triples so that
-#: :class:`RecurringEvent` can re-arm by rewriting its one entry in place.
-Entry = list
+    """Dispatch target of a cancelled recurring occurrence (a no-op)."""
 
 
 class RecurringEvent:
-    """A re-armable periodic event that reuses a single heap entry.
+    """A re-armable periodic event.
 
     Components with a fixed cadence (the PFU's one-request-per-cycle issue
-    engine, clocked ports) re-arm from inside their own callback instead of
-    paying :meth:`Engine.schedule` validation plus a fresh entry allocation
-    per occurrence.  Each occurrence still draws a fresh sequence number, so
-    tie order against ordinary events is identical to plain scheduling.
+    engine) re-arm from inside their own callback instead of paying
+    :meth:`Engine.schedule` validation per occurrence.  Each occurrence is
+    appended to its cycle's bucket like any other event, so tie order
+    against ordinary events is identical to plain scheduling.
     """
 
-    __slots__ = ("_engine", "interval", "callback", "_entry", "_pending")
+    __slots__ = ("_engine", "interval", "callback", "_fire", "_cycle", "_pending")
 
     def __init__(self, engine: "Engine", interval: int, callback: Callback) -> None:
         if not isinstance(interval, int) or isinstance(interval, bool) or interval < 0:
@@ -73,7 +67,10 @@ class RecurringEvent:
         self._engine = engine
         self.interval = interval
         self.callback = callback
-        self._entry: Entry = [0, 0, self._fire]
+        #: The one bound method queued per occurrence; cancel() finds the
+        #: queued slot by identity.
+        self._fire = self._fire_once
+        self._cycle = 0
         self._pending = False
 
     @property
@@ -81,16 +78,15 @@ class RecurringEvent:
         """True while the next occurrence sits in the event queue."""
         return self._pending
 
-    def _fire(self) -> None:
+    def _fire_once(self) -> None:
         self._pending = False
         self.callback()
 
     def schedule(self) -> None:
         """Arm the next occurrence ``interval`` cycles from now.
 
-        The heap entry is physically in the queue while pending, so
-        re-arming before the previous occurrence fired would corrupt the
-        heap; that is rejected rather than silently mis-ordered.
+        Only one occurrence may be queued at a time, so re-arming before
+        the previous occurrence fired is rejected.
         """
         if self._pending:
             raise SimulationError(
@@ -101,44 +97,40 @@ class RecurringEvent:
             engine._sanitizer.check_schedule_call(
                 engine, self.interval, "engine.recurring"
             )
-        entry = self._entry
-        entry[0] = engine._now + self.interval
-        entry[1] = next(engine._sequence)
+        self._cycle = engine._now + self.interval
         self._pending = True
-        heapq.heappush(engine._queue, entry)
+        engine._append(self._cycle, self._fire)
 
     def cancel(self) -> None:
         """Cancel the pending occurrence (a no-op when none is pending).
 
-        The in-queue entry cannot be cheaply removed from the heap, so it
-        is neutralized in place (its callback slot becomes inert) and
-        *detached*: a subsequent :meth:`schedule` arms a fresh entry,
-        never rewriting the dead one still sitting in the queue.  The dead
-        entry is dispatched as an inert event when its cycle comes, which
-        both dispatch loops count identically.
+        The queued slot becomes an inert callback that still dispatches,
+        and is counted, at its cycle (see the module docstring).
         """
         if not self._pending:
             return
-        self._entry[2] = _cancelled
-        self._entry = [0, 0, self._fire]
+        bucket = self._engine._buckets[self._cycle]
+        fire = self._fire
+        index = len(bucket) - 1
+        while bucket[index] is not fire:
+            index -= 1
+        bucket[index] = _cancelled
         self._pending = False
 
 
 class Engine:
     """A deterministic event queue over an integer cycle clock."""
 
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
-        self._queue: List[Entry] = []
-        self._sequence = itertools.count()
+    def __init__(self) -> None:
+        #: Cycle -> callbacks due then, in scheduling order.
+        self._buckets: Dict[int, List[Callback]] = {}
+        #: Heap of the cycles that own a bucket.
+        self._times: List[int] = []
         self._now = 0
         self._running = False
         self._in_dispatch = False
         self._run_dispatched = 0
         self._run_skipped = 0
-        #: Which dispatch loop run() uses; defaults to the global fastpath
-        #: flag at construction time.  Both loops dispatch the identical
-        #: event stream (see module docstring).
-        self.fast_path = fastpath.enabled() if fast_path is None else bool(fast_path)
         #: Armed invariant checker or None (see repro.hardware.sanitize).
         self._sanitizer = sanitize.current()
         #: Total events dispatched over this engine's lifetime.
@@ -155,12 +147,20 @@ class Engine:
         """Current simulation time in cycles."""
         return self._now
 
+    def _append(self, cycle: int, callback: Callback) -> None:
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [callback]
+            heappush(self._times, cycle)
+        else:
+            bucket.append(callback)
+
     def schedule(self, delay: int, callback: Callback) -> None:
         """Run ``callback`` ``delay`` cycles from now (integral delay >= 0).
 
         Integral floats (``5.0``) are coerced to int; non-integral delays
         raise, because events drifting off the integer cycle clock would
-        break the sequence-number tie order that makes runs deterministic.
+        break the per-cycle tie order that makes runs deterministic.
         """
         if type(delay) is not int:
             delay = _coerce_delay(delay)
@@ -172,25 +172,48 @@ class Engine:
                 "running; components must not mutate simulation state "
                 "off-queue (the idle fast-forward invariant, see DESIGN.md)"
             )
-        heapq.heappush(
-            self._queue, [self._now + delay, next(self._sequence), callback]
-        )
+        self._append(self._now + delay, callback)
 
     def schedule_after(self, delay: int, callback: Callback) -> None:
         """:meth:`schedule` minus validation, for dispatch-critical callers.
 
         ``delay`` MUST be a non-negative int the caller has already
         validated (a constant, or arithmetic over validated ints); hot
-        components (crossbar transfers, memory service completions) use
+        components (memory service completions, network deliveries) use
         this to skip the per-call checks.  The sanitizer re-arms exactly
         those checks, so ``--sanitize`` runs catch a caller breaking the
         contract.
         """
         if self._sanitizer is not None:
             self._sanitizer.check_schedule_call(self, delay, "engine.schedule_after")
-        heapq.heappush(
-            self._queue, [self._now + delay, next(self._sequence), callback]
-        )
+        self._append(self._now + delay, callback)
+
+    def schedule_pair(
+        self, delay: int, callback: Callback, now_callback: Callback
+    ) -> None:
+        """``schedule_after(delay, callback)`` then
+        ``schedule_after(0, now_callback)``, in one call.
+
+        Same contract as :meth:`schedule_after`; the crossbar queues a
+        transfer's completion and its same-cycle re-scan through this.
+        """
+        if self._sanitizer is not None:
+            self._sanitizer.check_schedule_call(self, delay, "engine.schedule_pair")
+        buckets = self._buckets
+        now = self._now
+        cycle = now + delay
+        bucket = buckets.get(cycle)
+        if bucket is None:
+            buckets[cycle] = [callback]
+            heappush(self._times, cycle)
+        else:
+            bucket.append(callback)
+        bucket = buckets.get(now)
+        if bucket is None:
+            buckets[now] = [now_callback]
+            heappush(self._times, now)
+        else:
+            bucket.append(now_callback)
 
     def schedule_at(self, cycle: int, callback: Callback) -> None:
         """Run ``callback`` at absolute time ``cycle``."""
@@ -201,8 +224,18 @@ class Engine:
         return RecurringEvent(self, interval, callback)
 
     def pending(self) -> int:
-        """Number of events not yet dispatched."""
-        return len(self._queue)
+        """Number of events not yet dispatched (between runs only).
+
+        Mid-run the cycle being dispatched still holds its dispatched
+        events, so the count would be wrong; that is refused instead.
+        """
+        if self._running:
+            raise SimulationError("pending() is only exact between runs")
+        return sum(map(len, self._buckets.values()))
+
+    def next_event_cycle(self) -> Optional[int]:
+        """Cycle of the earliest queued event, or None when idle."""
+        return self._times[0] if self._times else None
 
     def run(self, until: Optional[int] = None, max_events: int = 50_000_000) -> int:
         """Dispatch events in time order.
@@ -221,9 +254,7 @@ class Engine:
         self._run_dispatched = 0
         self._run_skipped = 0
         try:
-            if self.fast_path:
-                return self._run_fast(until, max_events)
-            return self._run_legacy(until, max_events)
+            return self._dispatch(until, max_events)
         finally:
             self._running = False
             dispatched = self._run_dispatched
@@ -237,66 +268,51 @@ class Engine:
                         "engine", "idle_cycles_skipped", self._run_skipped
                     )
 
-    def _run_fast(self, until: Optional[int], max_events: int) -> int:
-        """Batched dispatch: drain each cycle's events in one heap pass."""
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        batch: List[Entry] = []
-        append = batch.append
+    def _dispatch(self, until: Optional[int], max_events: int) -> int:
+        """Dispatch one cycle's bucket at a time, in bucket order."""
+        buckets = self._buckets
+        times = self._times
         dispatched = 0
         now = self._now
         sanitizer = self._sanitizer
         self._in_dispatch = True
         try:
-            while queue:
-                time = queue[0][0]
+            while times:
+                time = times[0]
                 if time != now:
                     if sanitizer is not None:
                         sanitizer.check_clock_advance(self, time, now)
                     if until is not None and time > until:
                         now = until
                         break
+                    if dispatched >= max_events:
+                        raise _runaway(max_events, now)
                     if time - now > 1:
                         # Idle fast-forward: nothing is queued in the gap and
                         # nothing mutates state off-queue, so jump the clock.
                         self._run_skipped += time - now - 1
-                    now = time
-                if dispatched >= max_events:
-                    # self._now still holds the last dispatched cycle, which
-                    # is what the legacy loop reports too.
-                    raise SimulationError(
-                        f"exceeded {max_events} events at cycle {self._now}; "
-                        f"simulation is runaway"
-                    )
-                self._now = now
-                entry = pop(queue)
-                if not queue or queue[0][0] != time:
-                    # Singleton cycle: dispatch without batch bookkeeping.
-                    # Counted before the call so an aborted run accounts the
-                    # raising event exactly like the batched path below.
-                    dispatched += 1
-                    entry[2]()
-                    continue
-                del batch[:]
-                append(entry)
-                budget = max_events - dispatched - 1
-                while budget and queue and queue[0][0] == time:
-                    append(pop(queue))
-                    budget -= 1
-                index = 0
+                    now = self._now = time
+                bucket = buckets[time]
+                first = dispatched
                 try:
-                    for entry in batch:
-                        entry[2]()
-                        index += 1
+                    # Iterating the live list also dispatches the delay-0
+                    # events callbacks append to it, in append order.
+                    for callback in bucket:
+                        if dispatched >= max_events:
+                            raise _runaway(max_events, now)
+                        # Counted before the call, so an aborted run
+                        # accounts the raising event as dispatched.
+                        dispatched += 1
+                        callback()
                 except BaseException:
-                    # Keep undispatched same-cycle events in the queue so an
-                    # aborted run leaves the same state the legacy loop would.
-                    for entry in batch[index + 1:]:
-                        push(queue, entry)
-                    dispatched += index + 1
+                    # Leave the rest of this cycle queued for a later run.
+                    del bucket[: dispatched - first]
+                    if not bucket:
+                        del buckets[time]
+                        heappop(times)
                     raise
-                dispatched += index
+                del buckets[time]
+                heappop(times)
             else:
                 if until is not None and until > now:
                     now = until
@@ -306,41 +322,16 @@ class Engine:
             self._in_dispatch = False
             self._run_dispatched = dispatched
 
-    def _run_legacy(self, until: Optional[int], max_events: int) -> int:
-        """The original one-event-at-a-time loop, kept for A/B verification."""
-        dispatched = 0
-        sanitizer = self._sanitizer
-        self._in_dispatch = True
-        try:
-            while self._queue:
-                time, _, callback = self._queue[0]
-                if sanitizer is not None and time != self._now:
-                    sanitizer.check_clock_advance(self, time, self._now)
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                if dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events at cycle {self._now}; "
-                        f"simulation is runaway"
-                    )
-                heapq.heappop(self._queue)
-                if time - self._now > 1:
-                    self._run_skipped += time - self._now - 1
-                self._now = time
-                callback()
-                dispatched += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-            return self._now
-        finally:
-            self._in_dispatch = False
-            self._run_dispatched = dispatched
-
     def run_until_idle(self) -> int:
         """Run until no events remain; returns the final time."""
         return self.run(until=None)
+
+
+def _runaway(max_events: int, cycle: int) -> SimulationError:
+    # ``cycle`` is the last dispatched cycle, never the one about to start.
+    return SimulationError(
+        f"exceeded {max_events} events at cycle {cycle}; simulation is runaway"
+    )
 
 
 def _coerce_delay(delay: object) -> int:

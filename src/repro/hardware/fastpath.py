@@ -1,15 +1,15 @@
-"""Global switch for the simulator's behavior-preserving fast paths.
+"""Global switch for the crossbar's behavior-preserving wake masks.
 
-The engine's batched dispatch loop and the hot components' wake-slimming
-(crossbar head-route masks, skipped no-op wake events) are *observationally
-equivalent* to the straightforward implementations: every simulated result,
-machine counter and monitor histogram is byte-identical either way.  The only
-visible difference is the simulator's own self-profile (wall clock, engine
-dispatch counts).
+The crossbar's head-route masks (skipping arbiter scans that provably
+cannot find work) are *observationally equivalent* to waking every
+arbiter: every simulated result, machine counter and monitor histogram is
+byte-identical either way.  The only visible difference is the
+simulator's own wall clock.
 
 This module is the single place that equivalence claim can be switched off --
 ``CEDAR_FASTPATH=0`` in the environment, or :func:`set_enabled` from tests --
-so the determinism suite can run both variants against each other.
+so the determinism suite can run both variants against each other.  The
+event engine has no such switch; its reference loop lives in the tests.
 Components snapshot the flag at construction time; flipping it does not
 affect machines that already exist.
 """
@@ -33,7 +33,7 @@ _enabled = _from_env()
 
 
 def enabled() -> bool:
-    """Whether newly constructed engines/components use the fast paths."""
+    """Whether newly constructed crossbars use the wake masks."""
     return _enabled
 
 

@@ -134,8 +134,8 @@ class PrefetchUnit:
         self._slot_issued = -1
         self._slot_filled = -1
         # The issue engine ticks at a fixed cadence (one request per
-        # issue_interval_cycles); a recurring event re-arms by reusing its
-        # heap entry instead of paying schedule() validation per word.
+        # issue_interval_cycles); a recurring event re-arms itself instead
+        # of paying schedule() validation per word.
         self._issue_tick = engine.recurring(
             config.issue_interval_cycles, self._issue_next
         )

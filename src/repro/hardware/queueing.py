@@ -1,9 +1,9 @@
-"""Bounded word-queues and blocking links, the plumbing of the Cedar networks.
+"""Bounded word-queues, the plumbing of the Cedar networks.
 
 "A two word queue is used on each crossbar input and output port and flow
 control between stages prevents queue overflow" (Section 2).  Queues are
 measured in 64-bit words, so a four-word packet occupies four queue slots,
-and a link forwards one word per cycle.
+and a crossbar port forwards one word per cycle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hardware import sanitize
-from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet
 
 Notification = Callable[[], None]
@@ -123,62 +122,3 @@ class BoundedWordQueue:
     def wait_for_space(self, waiter: Notification) -> None:
         """Call ``waiter`` once, the next time words are freed."""
         self._space_waiters.append(waiter)
-
-
-class Link:
-    """A one-word-per-cycle conduit from one queue into another.
-
-    Models a crossbar output port driving the wire to the next stage: it
-    pulls the head packet of ``source``, is busy for ``packet.words`` cycles
-    (times ``cycle_per_word``), then delivers into ``sink`` -- blocking, and
-    retrying on the sink's space notification, when the sink is full.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        source: BoundedWordQueue,
-        sink: BoundedWordQueue,
-        cycles_per_word: int = 1,
-        name: str = "",
-    ) -> None:
-        self.engine = engine
-        self.source = source
-        self.sink = sink
-        self.cycles_per_word = cycles_per_word
-        self.name = name
-        self._busy = False
-        self._in_flight: Optional[Packet] = None
-        source.add_item_listener(self._wake)
-
-    def _wake(self) -> None:
-        if not self._busy and self.source.head() is not None:
-            self._start(self.source.pop())
-
-    def _start(self, packet: Packet) -> None:
-        self._busy = True
-        self._in_flight = packet
-        self.engine.schedule(packet.words * self.cycles_per_word, self._finish)
-
-    def _finish(self) -> None:
-        packet = self._in_flight
-        assert packet is not None
-        if self.sink.can_accept(packet):
-            self._deliver(packet)
-        else:
-            self.sink.wait_for_space(lambda: self._retry())
-
-    def _retry(self) -> None:
-        packet = self._in_flight
-        assert packet is not None
-        if self.sink.can_accept(packet):
-            self._deliver(packet)
-        else:  # another writer won the freed space; keep waiting
-            self.sink.wait_for_space(lambda: self._retry())
-
-    def _deliver(self, packet: Packet) -> None:
-        self.sink.push(packet)
-        self._in_flight = None
-        self._busy = False
-        if self.source.head() is not None:
-            self._start(self.source.pop())

@@ -29,9 +29,9 @@ Checked invariant classes (see DESIGN.md for the paper justification):
   conflicts are only counted against a genuinely full sink.
 * ``engine.monotonic`` -- the dispatch clock never runs backwards.
 * ``engine.schedule`` -- the validation-free scheduling entry points
-  (``schedule_after``, recurring re-arm) still receive integral
-  non-negative delays from inside a dispatching callback (the idle
-  fast-forward off-queue contract).
+  (``schedule_after``, ``schedule_pair``, recurring re-arm) still receive
+  integral non-negative delays from inside a dispatching callback (the
+  idle fast-forward off-queue contract).
 * ``memory.balance`` -- per module, requests pulled from the forward
   network equal replies injected plus writes absorbed plus at most one
   in-service and one pending-reply request.
@@ -479,7 +479,8 @@ class Sanitizer:
             self._violate(
                 "engine.monotonic", "engine",
                 f"event queue yielded cycle {time} after the clock reached "
-                f"{now}; a heap entry was mutated while queued",
+                f"{now}; an event was planted behind the clock, bypassing "
+                f"the scheduling API",
                 event_cycle=time, clock=now,
             )
 

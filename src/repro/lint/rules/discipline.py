@@ -78,18 +78,18 @@ class AmbientSnapshotRule(Rule):
 @register
 class UnvalidatedDelayRule(Rule):
     id = "disc.unvalidated-delay"
-    title = "schedule_after() with a float-producing delay expression"
+    title = "schedule_after()/schedule_pair() with a float-producing delay"
     rationale = (
         "Engine.schedule() validates its delay (integral, non-negative)\n"
-        "and guards against off-queue calls; schedule_after() skips both\n"
-        "checks for dispatch-critical hot paths, on the contract that the\n"
-        "caller passes an already-validated int.  A delay built with true\n"
-        "division (/) or a float literal produces a float: events drift\n"
-        "off the integer cycle clock and the (time, seq) tie order that\n"
-        "makes dispatch deterministic stops being total.  Use //, round\n"
-        "explicitly, or call schedule() and pay for validation.  The\n"
-        "sanitizer re-arms this check dynamically; this rule catches it\n"
-        "in review."
+        "and guards against off-queue calls; schedule_after() and\n"
+        "schedule_pair() skip both checks for dispatch-critical hot paths,\n"
+        "on the contract that the caller passes an already-validated int.\n"
+        "A delay built with true division (/) or a float literal produces\n"
+        "a float: events drift off the integer cycle clock and the\n"
+        "per-cycle tie order that makes dispatch deterministic stops\n"
+        "being total.  Use //, round explicitly, or call schedule() and\n"
+        "pay for validation.  The sanitizer re-arms this check\n"
+        "dynamically; this rule catches it in review."
     )
     scope = ("hardware", "partition")
 
@@ -98,7 +98,7 @@ class UnvalidatedDelayRule(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "schedule_after"
+                and node.func.attr in ("schedule_after", "schedule_pair")
                 and node.args
             ):
                 continue
@@ -107,7 +107,7 @@ class UnvalidatedDelayRule(Rule):
             if hazard is not None:
                 yield ctx.finding(
                     self, node,
-                    f"schedule_after() delay {hazard}; the fast entry point "
+                    f"{node.func.attr}() delay {hazard}; the fast entry point "
                     "skips validation, so this breaks the integer cycle "
                     "clock silently",
                 )

@@ -30,7 +30,7 @@ deterministic for any partitioning.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.config import CedarConfig
 from repro.errors import SimulationError
@@ -53,14 +53,6 @@ def lookahead_cycles(config: CedarConfig) -> int:
         lines *= radix
         stages += 1
     return max(1, stages * config.network.stage_latency_cycles)
-
-
-def _next_event_cycle(engine: Engine) -> Optional[int]:
-    # Peeks the heap head (cycle of the earliest pending event).  Reading
-    # the queue is safe here: the scheduler only calls this at barriers,
-    # when no engine is running.
-    queue = engine._queue
-    return queue[0][0] if queue else None
 
 
 class EpochScheduler:
@@ -134,7 +126,7 @@ class EpochScheduler:
             # event -- the partitioned analogue of idle fast-forward.
             pending = [
                 cycle
-                for cycle in map(_next_event_cycle, self.engines)
+                for cycle in map(Engine.next_event_cycle, self.engines)
                 if cycle is not None
             ]
             if pending:

@@ -383,7 +383,6 @@ def _memory_side_main(conn, config: CedarConfig) -> None:
             engine.run(until=end)
             replies = reply_channel.drain_outboxes()
             request_credits = request_channel.take_returned_credits()
-            queue = engine._queue
             conn.send(
                 (
                     "done",
@@ -391,7 +390,7 @@ def _memory_side_main(conn, config: CedarConfig) -> None:
                     replies,
                     request_credits,
                     engine.pending(),
-                    queue[0][0] if queue else None,
+                    engine.next_event_cycle(),
                     reply_channel.idle(),
                     engine.events_dispatched,
                 )
@@ -581,8 +580,7 @@ class ProcessSplitMachine:
             # candidates must cover staged-but-unshipped boundary work --
             # requests deliver at send + latency and credit returns re-arm
             # taps at end + 1 -- or the jump could overshoot them.
-            queue = engine._queue
-            cycles = [c for c in (queue[0][0] if queue else None, remote_next)
+            cycles = [c for c in (engine.next_event_cycle(), remote_next)
                       if c is not None]
             if pending_requests:
                 cycles.append(

@@ -107,9 +107,10 @@ def _drill_network_routing() -> None:
 
 
 def _drill_engine_monotonic() -> None:
-    """A queued heap entry is dragged into the past."""
+    """An event is planted in a calendar bucket behind the clock."""
     engine = Engine()
-    heapq.heappush(engine._queue, [-1, next(engine._sequence), lambda: None])
+    engine._buckets[-1] = [lambda: None]
+    heapq.heappush(engine._times, -1)
     engine.run()
 
 

@@ -2,14 +2,16 @@
 
 import pytest
 
+from reference_engine import ReferenceEngine
 from repro.errors import SimulationError
 from repro.hardware.engine import Engine
 
 
-@pytest.fixture(params=[True, False], ids=["fast", "legacy"])
+@pytest.fixture(params=[Engine, ReferenceEngine], ids=["fast", "legacy"])
 def any_engine(request):
-    """Both dispatch loops; they must be behaviourally identical."""
-    return Engine(fast_path=request.param)
+    """The calendar-queue engine and the one-at-a-time heap reference;
+    they must be behaviourally identical."""
+    return request.param()
 
 
 class TestScheduling:
@@ -121,6 +123,21 @@ class TestRunControl:
         totals = tracer.counter_totals()["engine"]
         assert totals == {"events_dispatched": 3, "runs": 1}
 
+    def test_pending_refused_mid_run(self):
+        engine = Engine()
+        seen = []
+        engine.schedule(1, lambda: None)
+
+        def probe():
+            with pytest.raises(SimulationError, match="between runs"):
+                engine.pending()
+            seen.append(True)
+
+        engine.schedule(1, probe)
+        engine.run_until_idle()
+        assert seen == [True]
+        assert engine.pending() == 0
+
     def test_reentrant_run_rejected(self):
         engine = Engine()
 
@@ -184,7 +201,7 @@ class TestOffQueueInvariant:
 
 class TestFastDispatch:
     def test_same_cycle_batch_preserves_order_with_nested(self, any_engine):
-        """Events scheduled during a batch still run in sequence order."""
+        """Events scheduled while a cycle dispatches run after it, in order."""
         engine = any_engine
         order = []
 
@@ -199,7 +216,7 @@ class TestFastDispatch:
         assert order == ["first", "second", "nested", "later"]
 
     def test_max_events_mid_batch_leaves_remainder_queued(self):
-        engine = Engine(fast_path=True)
+        engine = Engine()
         seen = []
         for tag in range(5):
             engine.schedule(1, lambda t=tag: seen.append(t))
@@ -210,7 +227,7 @@ class TestFastDispatch:
         assert engine.events_dispatched == 3
 
     def test_exception_mid_batch_requeues_remainder(self):
-        engine = Engine(fast_path=True)
+        engine = Engine()
         seen = []
 
         def boom():
@@ -244,8 +261,8 @@ class TestFastDispatch:
         assert engine.events_dispatched == 2
 
     def test_fast_and_legacy_produce_identical_traces(self):
-        def trace(fast):
-            engine = Engine(fast_path=fast)
+        def trace(engine_class):
+            engine = engine_class()
             log = []
 
             def tick(round_no):
@@ -260,7 +277,7 @@ class TestFastDispatch:
             end = engine.run_until_idle()
             return log, end, engine.events_dispatched, engine.idle_cycles_skipped
 
-        assert trace(True) == trace(False)
+        assert trace(Engine) == trace(ReferenceEngine)
 
     def test_until_with_fast_forward(self, any_engine):
         engine = any_engine
@@ -356,7 +373,7 @@ class TestRecurringCancel:
 
         def setup():
             # The canceller draws the earlier sequence number, so at cycle 5
-            # it dispatches first -- with the recurrence in the same batch.
+            # it dispatches first -- with the recurrence in the same cycle.
             engine.schedule(5, event.cancel)
             event.schedule()
 
@@ -371,8 +388,8 @@ class TestRecurringCancel:
         assert not event.pending
 
     def test_cancel_then_reschedule_uses_a_fresh_entry(self, any_engine):
-        """The heap-entry-reuse path: re-arming after cancel must not
-        resurrect (or rewrite) the dead entry still sitting in the heap."""
+        """Re-arming after cancel must not resurrect (or rewrite) the dead
+        occurrence still sitting in the queue."""
         engine = any_engine
         ticks = []
         event = engine.recurring(3, lambda: ticks.append(engine.now))
@@ -406,8 +423,8 @@ class TestRecurringCancel:
         assert engine.idle_cycles_skipped == (10 - 1) + (100 - 10 - 1)
 
     def test_cancel_accounting_identical_across_loops(self):
-        def run(fast):
-            engine = Engine(fast_path=fast)
+        def run(engine_class):
+            engine = engine_class()
             ticks = []
             event = engine.recurring(4, lambda: ticks.append(engine.now))
 
@@ -421,4 +438,4 @@ class TestRecurringCancel:
             engine.run_until_idle()
             return ticks, engine.events_dispatched, engine.idle_cycles_skipped
 
-        assert run(True) == run(False)
+        assert run(Engine) == run(ReferenceEngine)

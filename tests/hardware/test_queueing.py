@@ -1,11 +1,10 @@
-"""Tests for bounded word-queues and blocking links."""
+"""Tests for bounded word-queues."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet, PacketKind
-from repro.hardware.queueing import BoundedWordQueue, Link
+from repro.hardware.queueing import BoundedWordQueue
 
 
 def packet(words=1, destination=0):
@@ -71,43 +70,6 @@ class TestBoundedWordQueue:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BoundedWordQueue(0)
-
-
-class TestLink:
-    def test_transfers_at_one_word_per_cycle(self):
-        engine = Engine()
-        source = BoundedWordQueue(8)
-        sink = BoundedWordQueue(8)
-        Link(engine, source, sink)
-        source.push(packet(words=3))
-        engine.run_until_idle()
-        assert len(sink) == 1
-        assert engine.now == 3
-
-    def test_blocks_on_full_sink_until_space(self):
-        engine = Engine()
-        source = BoundedWordQueue(8)
-        sink = BoundedWordQueue(1)
-        Link(engine, source, sink)
-        blocker = packet()
-        sink.push(blocker)
-        source.push(packet())
-        engine.run_until_idle()
-        assert len(sink) == 1  # still just the blocker; link is waiting
-        sink.pop()
-        engine.run_until_idle()
-        assert len(sink) == 1  # the delayed packet arrived
-
-    def test_drains_backlog(self):
-        engine = Engine()
-        source = BoundedWordQueue(8)
-        sink = BoundedWordQueue(64)
-        Link(engine, source, sink)
-        for _ in range(4):
-            source.push(packet(words=2))
-        engine.run_until_idle()
-        assert len(sink) == 4
-        assert engine.now == 8  # 4 packets x 2 words x 1 cycle
 
 
 class TestHeadListener:

@@ -71,7 +71,7 @@ class TestRandomInterleavings:
     @settings(max_examples=40, deadline=None)
     @given(words=st.lists(st.integers(1, 4), min_size=1, max_size=40))
     def test_greedy_drain_listener_reentrancy(self, words):
-        """An item listener popping the queue mid-push (a Link/sink pattern)
+        """An item listener popping the queue mid-push (a crossbar/sink pattern)
         must see consistent state and preserve FIFO order."""
         with sanitize.sanitizing() as sanitizer:
             queue = BoundedWordQueue(4, name="drain")

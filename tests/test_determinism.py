@@ -2,8 +2,9 @@
 
 The perf layer makes three claims (see DESIGN.md "Idle fast-forward"):
 
-* the engine's batched dispatch loop produces the event stream of the
-  one-at-a-time loop, including ``events_dispatched``;
+* the engine's calendar queue produces the event stream of the
+  one-at-a-time heap loop kept in ``tests/hardware/reference_engine.py``,
+  including ``events_dispatched``;
 * the components' wake-slimming (crossbar head-route masks) is
   observationally equivalent to waking every arbiter;
 * ``--jobs N`` only changes which process runs an experiment, never what
@@ -30,6 +31,7 @@ from repro.metrics.bench import build_snapshot
 from repro.metrics.collector import MonitorCatcher, collect_tracer
 from repro.metrics.registry import MetricsRegistry
 from repro.trace import Tracer, tracing
+from tests.hardware.reference_engine import ReferenceEngine
 
 
 def _traced_run(kernel):
@@ -62,8 +64,10 @@ def _with_fastpath(flag, kernel):
         pytest.param(lambda: measure_tridiag(8), id="tridiag-8"),
     ],
 )
-def test_fastpath_on_off_byte_identical(kernel):
+def test_fastpath_on_off_byte_identical(kernel, monkeypatch):
+    """Calendar queue + crossbar masks vs reference heap loop + plain wakes."""
     fast = _with_fastpath(True, kernel)
+    monkeypatch.setattr("repro.hardware.machine.Engine", ReferenceEngine)
     legacy = _with_fastpath(False, kernel)
     assert fast[0] == legacy[0]        # rendered kernel result
     assert fast[1] == legacy[1]        # full machine registry, exact
@@ -93,7 +97,7 @@ def test_parallel_snapshot_identical_to_sequential():
     assert _strip_self_profile(sequential) == _strip_self_profile(parallel)
 
 
-def _fuzz_network_run(seed):
+def _fuzz_network_run(seed, engine_class=Engine):
     """Random traffic through a 2-stage network of 4x4 crossbars.
 
     Runs with the sanitizer armed (its checks must neither perturb the
@@ -106,7 +110,7 @@ def _fuzz_network_run(seed):
         for _ in range(rng.randint(30, 120))
     ]
     with sanitize.sanitizing() as sanitizer:
-        engine = Engine()
+        engine = engine_class()
         network = OmegaNetwork(
             engine, 16, NetworkConfig(switch_radix=4), name="fuzz"
         )
@@ -243,9 +247,10 @@ def test_registry_unit_decompositions_cover_run(key):
 
 @pytest.mark.parametrize("seed", [0, 7, 1993])
 def test_fuzzed_network_fastpath_on_off_identical(seed):
-    """Differential fuzz: CEDAR_FASTPATH=0 vs 1, sanitizer armed in both.
+    """Differential fuzz, sanitizer armed in both runs: calendar queue with
+    ``CEDAR_FASTPATH=1`` vs the reference heap loop with ``CEDAR_FASTPATH=0``.
 
-    The masked-wake and batched-dispatch rewrites must be invisible under
+    The masked-wake and calendar-queue rewrites must be invisible under
     arbitrary contention: byte-identical delivery streams and identical
     ``events_dispatched``.
     """
@@ -256,7 +261,7 @@ def test_fuzzed_network_fastpath_on_off_identical(seed):
         fastpath.set_enabled(previous)
     previous = fastpath.set_enabled(False)
     try:
-        legacy = _fuzz_network_run(seed)
+        legacy = _fuzz_network_run(seed, ReferenceEngine)
     finally:
         fastpath.set_enabled(previous)
     assert fast[0] == legacy[0]  # (port, packet_id, cycle) stream
