@@ -140,13 +140,7 @@ KernelFactory = Callable[["ComputationalElement"], KernelCoroutine]
 
 
 class NetworkPort:
-    """One CE's interface to the forward/reverse global networks.
-
-    ``reverse`` is a delivery seam: only ``reverse.attach_sink(port,
-    handler)`` is called, so partitioned machines substitute a
-    :class:`~repro.partition.boundary.BoundaryChannel` that hands replies
-    across the partition cut (see DESIGN.md §10).
-    """
+    """One CE's interface to the forward/reverse global networks."""
 
     def __init__(
         self,

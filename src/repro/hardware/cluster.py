@@ -14,12 +14,7 @@ from repro.hardware.network import OmegaNetwork
 
 
 class Cluster:
-    """A slightly modified Alliant FX/8, as integrated into Cedar.
-
-    ``reverse`` is passed straight through to each CE's
-    :class:`~repro.hardware.ce.NetworkPort` and may be a boundary-channel
-    fabric rather than the reverse network in partitioned machines.
-    """
+    """A slightly modified Alliant FX/8, as integrated into Cedar."""
 
     def __init__(
         self,

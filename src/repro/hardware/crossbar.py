@@ -12,24 +12,24 @@ input queue (doubling its capacity) so that a hop costs one arbitration
 rather than two; the total buffering per port pair and the back-pressure
 behaviour are preserved.
 
-Fast path: every input queue reports head changes to the switch, which keeps
-a per-output count of head packets routed to that output (``_heads_for``).
-A wake of an arbiter with no head routed to it is observationally a no-op --
-the round-robin scan would find nothing, count nothing and register
-nothing -- so masked wakes skip straight past it in O(1).  Scans that *can*
-see a candidate run exactly as before (including re-scans that re-count a
-port conflict), so arbitration order, port-conflict counts and all timing
-are byte-identical to the unmasked implementation (``CEDAR_FASTPATH=0``
-switches the masking off to prove it).  The deferred post-pop re-scan event
-is always scheduled, exactly as the plain implementation does: whether it
-finds work is only known at dispatch time, after same-cycle arrivals.
+Wake masks: every input queue reports head changes to the switch, which
+keeps a per-output count of head packets routed to that output
+(``_heads_for``).  A wake of an arbiter with no head routed to it is
+observationally a no-op -- the round-robin scan would find nothing, count
+nothing and register nothing -- so masked wakes skip straight past it in
+O(1).  Scans that *can* see a candidate run the full round-robin
+first-fit (including re-scans that re-count a port conflict).  The
+sanitizer's independent unmasked reference scan proves every skip and
+every grant (``crossbar.arbiter``, ``queue.head``).  The deferred post-pop
+re-scan event is always scheduled: whether it finds work is only known at
+dispatch time, after same-cycle arrivals.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.hardware import fastpath, sanitize
+from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet
 from repro.hardware.queueing import BoundedWordQueue
@@ -49,7 +49,6 @@ class _OutputArbiter:
         "_next_input",
         "_in_flight",
         "_sink",
-        "_fast",
         "_heads",
         "_queues",
         "_head_route",
@@ -71,9 +70,8 @@ class _OutputArbiter:
         self._next_input = 0
         self._in_flight: Optional[Packet] = None
         self._sink: Optional[BoundedWordQueue] = None
-        # Hot-path prebinds: wake()/_select_input() run once or more per
-        # event on the network's critical path.
-        self._fast = switch._fast
+        # Hot-path prebinds: wake() runs once or more per event on the
+        # network's critical path.
         self._heads = switch._heads_for
         self._queues = switch.input_queues
         self._head_route = switch._head_route
@@ -92,39 +90,32 @@ class _OutputArbiter:
         radix = switch.radix
         start = self._next_input
         chosen = -1
-        if self._fast:
-            # The head-route array already holds route(head) per input
-            # (None when empty), so the scan needs no head()/route() calls
-            # until it lands on a match -- same order, same outcome.  The
-            # scan is inlined here because wake() fires for every push on
-            # the network's critical path.
-            output_index = self.output_index
-            if not self._heads[output_index]:
-                if self._sanitizer is not None:
-                    # The skip is only legal if the reference scan would
-                    # also have found nothing; prove it.
-                    self._sanitizer.check_masked_skip(self)
-                return  # no head routed here: the scan could find nothing
-            head_route = self._head_route
-            for offset in range(radix):
-                index = start + offset
-                if index >= radix:
-                    index -= radix
-                if head_route[index] != output_index:
-                    continue
-                head = queues[index]._packets[0]
-                if head.words <= sink.capacity_words - sink._used_words:
-                    chosen = index
-                    break
-                self._count_conflict(sink, head)
-                return
-            if chosen < 0:
-                return
-        else:
-            selected = self._select_input()
-            if selected is None:
-                return
-            chosen = selected
+        # The head-route array already holds route(head) per input (None
+        # when empty), so the scan needs no head()/route() calls until it
+        # lands on a match.  The scan is inlined here because wake() fires
+        # for every push on the network's critical path.
+        output_index = self.output_index
+        if not self._heads[output_index]:
+            if self._sanitizer is not None:
+                # The skip is only legal if the reference scan would also
+                # have found nothing; prove it.
+                self._sanitizer.check_masked_skip(self)
+            return  # no head routed here: the scan could find nothing
+        head_route = self._head_route
+        for offset in range(radix):
+            index = start + offset
+            if index >= radix:
+                index -= radix
+            if head_route[index] != output_index:
+                continue
+            head = queues[index]._packets[0]
+            if head.words <= sink.capacity_words - sink._used_words:
+                chosen = index
+                break
+            self._count_conflict(sink, head)
+            return
+        if chosen < 0:
+            return
         if self._sanitizer is not None:
             # Before any mutation: the grant must match the shadow
             # reference arbiter and the round-robin pointer must be fair.
@@ -145,34 +136,10 @@ class _OutputArbiter:
             delay if delay > 0 else 1, self._finish, switch.wake_all
         )
 
-    def _select_input(self) -> Optional[int]:
-        """Next input (round-robin) whose head routes here and fits downstream."""
-        switch = self.switch
-        queues = switch.input_queues
-        sink = self._sink
-        output_index = self.output_index
-        radix = switch.radix
-        start = self._next_input
-        assert sink is not None
-        route = switch.route
-        for offset in range(radix):
-            index = start + offset
-            if index >= radix:
-                index -= radix
-            head = queues[index].head()
-            if head is None or route(head) != output_index:
-                continue
-            if sink.can_accept(head):
-                return index
-            self._count_conflict(sink, head)
-            return None
-        return None
-
     def _count_conflict(self, sink: BoundedWordQueue, head: Packet) -> None:
         # Head routed here but downstream is full: wait for space.  The
         # space waiter re-wakes this arbiter, which re-scans fairly.  Every
-        # re-scan that hits the full sink counts another conflict, exactly
-        # like the plain implementation.
+        # re-scan that hits the full sink counts another conflict.
         if self._sanitizer is not None:
             self._sanitizer.check_port_conflict(self, head)
         switch = self.switch
@@ -247,7 +214,6 @@ class CrossbarSwitch:
         self._slot_conflicts = -1
         self._slot_packets = -1
         self._slot_words = -1
-        self._fast = fastpath.enabled()
         #: Armed invariant checker or None; the arbiters prebind it.
         self._sanitizer = sanitize.current()
         #: How many input-queue heads currently route to each output.
@@ -298,12 +264,8 @@ class CrossbarSwitch:
             # One pass per wake_all: the derived head-route masks must
             # mirror the actual queue heads before any arbiter trusts them.
             self._sanitizer.check_crossbar_masks(self)
-        if self._fast:
-            for count, arbiter in zip(self._heads_for, self.arbiters):
-                if count and not arbiter._busy:
-                    arbiter.wake()
-        else:
-            for arbiter in self.arbiters:
+        for count, arbiter in zip(self._heads_for, self.arbiters):
+            if count and not arbiter._busy:
                 arbiter.wake()
 
     def connect_output(self, output_index: int, sink: BoundedWordQueue) -> None:

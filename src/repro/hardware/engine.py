@@ -233,10 +233,6 @@ class Engine:
             raise SimulationError("pending() is only exact between runs")
         return sum(map(len, self._buckets.values()))
 
-    def next_event_cycle(self) -> Optional[int]:
-        """Cycle of the earliest queued event, or None when idle."""
-        return self._times[0] if self._times else None
-
     def run(self, until: Optional[int] = None, max_events: int = 50_000_000) -> int:
         """Dispatch events in time order.
 

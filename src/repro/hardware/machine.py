@@ -49,24 +49,13 @@ class CedarMachine:
         self,
         config: Optional[CedarConfig] = None,
         tracer: Optional[Tracer] = None,
-        request_delivery: Optional[object] = None,
-        reply_delivery: Optional[object] = None,
     ) -> None:
-        """Assemble the machine, optionally re-routing the delivery seams.
+        """Assemble the machine.
 
         ``config`` defaults to the *ambient* configuration
         (:func:`repro.config.active_config`): the paper's machine unless a
         :func:`repro.config.overriding` block -- e.g. a serve job carrying
         a builder ``spec`` -- installed another shape.
-
-        ``request_delivery`` replaces the forward network as what the
-        memory modules pull requests from, and ``reply_delivery`` replaces
-        the reverse network as what CE ports attach their reply sinks to.
-        Both default to the machine's own networks (the fused single
-        process machine).  Partitioned simulation passes
-        :class:`~repro.partition.boundary.BoundaryChannel` fabrics here --
-        the only coupling the endpoints have is ``delivery_queue(port)``
-        and ``attach_sink(port, handler)``, which the channels duck-type.
         """
         if config is None:
             config = active_config()
@@ -106,7 +95,7 @@ class CedarMachine:
             engine=self.engine,
             config=config.global_memory,
             sync_config=config.sync,
-            forward=request_delivery or self.forward,
+            forward=self.forward,
             reverse=self.reverse,
             sync_handler=_default_sync_handler,
             tracer=tracer,
@@ -117,7 +106,7 @@ class CedarMachine:
                 config=config,
                 index=i,
                 forward=self.forward,
-                reverse=reply_delivery or self.reverse,
+                reverse=self.reverse,
                 monitor=self.monitor,
                 tracer=tracer,
             )

@@ -183,13 +183,7 @@ class MemoryModule:
 
 
 class GlobalMemory:
-    """All modules plus address-to-module steering.
-
-    ``forward`` is a *delivery seam*, not necessarily a network: the only
-    method used is ``forward.delivery_queue(i)``, so partitioned machines
-    substitute a :class:`~repro.partition.boundary.BoundaryChannel` whose
-    queues are fed across the partition cut (see DESIGN.md §10).
-    """
+    """All modules plus address-to-module steering."""
 
     def __init__(
         self,

@@ -167,12 +167,7 @@ class OmegaNetwork:
     # -- endpoints -------------------------------------------------------
 
     def delivery_queue(self, port: int) -> BoundedWordQueue:
-        """The exit queue of ``port``, for pull-based endpoints.
-
-        Together with :meth:`attach_sink` this is the network's entire
-        endpoint surface -- partition boundary channels duck-type exactly
-        these two methods to stand in for a network across the cut.
-        """
+        """The exit queue of ``port``, for pull-based endpoints."""
         if not 0 <= port < self.num_lines:
             raise ConfigurationError(f"port {port} out of range")
         return self._delivery_queues[port]

@@ -1,13 +1,12 @@
 """Opt-in runtime invariant checking for the simulated Cedar hardware.
 
-The fast-path rewrites (batched dispatch, head-route masks, idle
-fast-forward) give the simulator two code paths whose equivalence the
-determinism suite pins on a handful of kernels.  This module makes the
-underlying *hardware invariants* machine-checked on any workload: with the
-sanitizer armed, the hot components call into a :class:`Sanitizer` at every
-state transition and a violation raises a structured
-:class:`~repro.errors.SanitizerError` carrying the component, the cycle and
-the trace-bus span context.
+The simulator's shortcuts (calendar dispatch, the crossbar's head-route
+masks, idle fast-forward) must not change a simulated result.  This
+module makes the underlying *hardware invariants* machine-checked on any
+workload: with the sanitizer armed, the hot components call into a
+:class:`Sanitizer` at every state transition and a violation raises a
+structured :class:`~repro.errors.SanitizerError` carrying the component,
+the cycle and the trace-bus span context.
 
 Checked invariant classes (see DESIGN.md for the paper justification):
 
@@ -22,7 +21,7 @@ Checked invariant classes (see DESIGN.md for the paper justification):
   equals words buffered (credits are conserved; Section 2, "flow control
   between stages prevents queue overflow").
 * ``queue.head`` -- the crossbar's derived head-route masks agree with the
-  actual queue heads (the fast-path bookkeeping is consistent).
+  actual queue heads (the wake-mask bookkeeping is consistent).
 * ``crossbar.arbiter`` -- every grant matches a shadow reference arbiter
   (unmasked round-robin first-fit), masked wake skips are provably no-ops,
   the round-robin pointer always advances past the last grant, and port
@@ -44,18 +43,13 @@ Checked invariant classes (see DESIGN.md for the paper justification):
   and bandwidth-server bookings never move backwards.
 * ``ccb.iterations`` -- self-scheduled loop iterations are claimed exactly
   once each, and the join fires only when the whole trip count ran.
-* ``boundary.conservation`` -- packets crossing a partition boundary link
-  (:mod:`repro.partition.boundary`) are conserved across the cut and
-  delivered in strictly increasing ``(epoch, seq)`` order; every delivery
-  matches a recorded send (when the sender half is local) and the
-  end-of-run in-flight balance closes for non-remote links.
 
-Enabling mirrors :mod:`repro.hardware.fastpath`: ``CEDAR_SANITIZE=1`` in
-the environment arms a process-global sanitizer, and :func:`sanitizing`
-installs a fresh one for a block (what ``cedar-repro run --sanitize``
-does per experiment).  Components snapshot :func:`current` at construction
--- with the sanitizer off every hook site is a single ``is not None`` test
-on a prebound attribute, so the unsanitized hot paths stay pay-for-use.
+Enabling: ``CEDAR_SANITIZE=1`` in the environment arms a process-global
+sanitizer, and :func:`sanitizing` installs a fresh one for a block (what
+``cedar-repro run --sanitize`` does per experiment).  Components
+snapshot :func:`current` at construction -- with the sanitizer off every
+hook site is a single ``is not None`` test on a prebound attribute, so
+the unsanitized hot paths stay pay-for-use.
 
 The sanitizer only observes: every check is a pure read of component
 state, so a sanitized run produces byte-identical results to an
@@ -195,10 +189,6 @@ class Sanitizer:
         self._memory_ledger: Dict[int, List[int]] = {}  # [req, reply, write]
         self._sync_shadow: Dict[int, Dict[int, int]] = {}
         self._cdoalls: Dict[int, Dict[str, object]] = {}
-        # Per boundary link: sent (epoch, seq) -> words, whether any send
-        # was recorded locally, and the last delivered (epoch, seq).
-        self._boundary_links: List[object] = []
-        self._boundary_ledger: Dict[int, Dict[str, object]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -237,66 +227,6 @@ class Sanitizer:
     def register_memory_module(self, module) -> None:
         self._memory_modules.append(module)
         self._memory_ledger[id(module)] = [0, 0, 0]
-
-    def register_boundary_link(self, link) -> None:
-        """Track cross-partition conservation for one boundary link."""
-        self._boundary_links.append(link)
-        self._boundary_ledger[id(link)] = {
-            "sent": {},
-            "sent_any": False,
-            "last": None,
-        }
-
-    # -- partition boundary (conservation + deterministic order) -----------
-
-    def boundary_sent(self, link, message) -> None:
-        """A packet was staged onto a boundary link."""
-        self._count("boundary.conservation")
-        ledger = self._boundary_ledger.get(id(link))
-        if ledger is None:
-            self.register_boundary_link(link)
-            ledger = self._boundary_ledger[id(link)]
-        ledger["sent_any"] = True
-        stamp = (message.epoch, message.seq)
-        if stamp in ledger["sent"]:
-            self._violate(
-                "boundary.conservation", link.name,
-                f"duplicate boundary send stamp (epoch={message.epoch}, "
-                f"seq={message.seq})",
-                epoch=message.epoch, seq=message.seq,
-            )
-        ledger["sent"][stamp] = message.packet.words
-
-    def boundary_delivered(self, link, message) -> None:
-        """A packet crossed the cut; order and conservation must hold."""
-        self._count("boundary.conservation")
-        ledger = self._boundary_ledger.get(id(link))
-        if ledger is None:
-            self.register_boundary_link(link)
-            ledger = self._boundary_ledger[id(link)]
-        stamp = (message.epoch, message.seq)
-        last = ledger["last"]
-        if last is not None and stamp <= last:
-            self._violate(
-                "boundary.conservation", link.name,
-                f"boundary delivery out of (epoch, seq) order: "
-                f"(epoch={message.epoch}, seq={message.seq}) after "
-                f"(epoch={last[0]}, seq={last[1]})",
-                epoch=message.epoch, seq=message.seq,
-                last_epoch=last[0], last_seq=last[1],
-            )
-        ledger["last"] = stamp
-        if ledger["sent_any"]:
-            # The sender half is local, so every delivery must consume a
-            # recorded send (remote halves only see the ordering check).
-            if stamp not in ledger["sent"]:
-                self._violate(
-                    "boundary.conservation", link.name,
-                    f"boundary delivery without a matching send "
-                    f"(epoch={message.epoch}, seq={message.seq})",
-                    epoch=message.epoch, seq=message.seq,
-                )
-            del ledger["sent"][stamp]
 
     # -- queues (capacity + flow-control credits) --------------------------
 
@@ -740,26 +670,6 @@ class Sanitizer:
                     f"{outstanding} outstanding",
                     requests=ledger[0], replies=ledger[1], writes=ledger[2],
                     outstanding=outstanding,
-                )
-        for link in self._boundary_links:
-            if getattr(link, "remote", False):
-                # The receiving half lives in another process; its ledger
-                # closes there, so only the ordering checks apply here.
-                continue
-            ledger = self._boundary_ledger[id(link)]
-            if not ledger["sent_any"]:
-                continue
-            self._count("boundary.conservation")
-            staged = {
-                (message.epoch, message.seq) for message in link._outbox
-            }
-            lost = sorted(set(ledger["sent"]) - staged)
-            if lost:
-                self._violate(
-                    "boundary.conservation", link.name,
-                    f"end-of-run imbalance: {len(lost)} boundary packet(s) "
-                    "sent but never delivered",
-                    lost=lost[:8], staged=len(staged),
                 )
 
     # -- reporting -----------------------------------------------------------

@@ -482,7 +482,7 @@ class EnvReadRule(Rule):
         "result cache would happily serve one's bytes for the other's\n"
         "request.  Configuration must flow through repro.config (part of\n"
         "the experiment's identity) or be snapshot ONCE at import/\n"
-        "construction into an explicit module switch (fastpath/sanitize\n"
+        "construction into an explicit module switch (the sanitize\n"
         "pattern -- suppress those single reads with a commented noqa)."
     )
     exempt = ("config.py",)
@@ -522,8 +522,7 @@ class MpScopeRule(Rule):
         "seam whose arrival order can leak into artifacts.  Route new\n"
         "parallelism through parallel_map()/run_partitioned(), or extend\n"
         "the sanctioned allowlist deliberately (with its own determinism\n"
-        "test) -- partition/split.py's ProcessSplitMachine is the one\n"
-        "audited exception, suppressed at the import site."
+        "test)."
     )
     exempt = ("partition/runtime.py", "serve/jobs.py")
 

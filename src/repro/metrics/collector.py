@@ -74,14 +74,12 @@ def collect_tracer(registry: MetricsRegistry, tracer: Tracer) -> None:
             ).set(count)
         registry.gauge(
             "sim_trace_buffer_bytes",
-            help="record-store bytes (columnar ring capacity, or the "
-                 "object store's nominal per-record estimate)",
+            help="record-store bytes (columnar ring capacity)",
         ).set(tracer.buffer_bytes)
-        if tracer.columnar:
-            registry.gauge(
-                "sim_trace_interned_strings",
-                help="distinct component/name strings in the interning table",
-            ).set(tracer.interned_strings)
+        registry.gauge(
+            "sim_trace_interned_strings",
+            help="distinct component/name strings in the interning table",
+        ).set(tracer.interned_strings)
 
 
 def collect_monitor(

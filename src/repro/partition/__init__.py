@@ -1,26 +1,10 @@
-"""Partitioned parallel simulation (ROADMAP item 2).
+"""Partitioned parallel simulation: ``cedar-repro run --partitions N``.
 
-Two layers:
-
-* :mod:`repro.partition.split` -- *spatial* partitioning of one machine:
-  the cluster side and the global-memory side each run on their own
-  engine (optionally in separate processes), exchanging boundary
-  messages under conservative-lookahead epochs
-  (:mod:`repro.partition.epochs`) through credit-managed
-  :mod:`repro.partition.boundary` channels.
-* :mod:`repro.partition.runtime` -- *unit-level* partitioning of one
-  experiment: independent machine-run units shard across worker
-  processes and recombine deterministically.  This is the layer
-  ``cedar-repro run --partitions N`` exposes.
+:mod:`repro.partition.runtime` shards one experiment's independent
+machine-run units across worker processes and recombines them
+deterministically.
 """
 
-from repro.partition.boundary import (
-    BoundaryChannel,
-    BoundaryLink,
-    BoundaryMessage,
-    SenderTap,
-)
-from repro.partition.epochs import EpochScheduler, lookahead_cycles
 from repro.partition.runtime import (
     WHOLE_UNIT,
     PartitionedRun,
@@ -30,19 +14,8 @@ from repro.partition.runtime import (
     run_partitioned,
     shard_units,
 )
-from repro.partition.split import (
-    FusedPartitionedMachine,
-    ProcessSplitMachine,
-    SplitPartitionedMachine,
-)
 
 __all__ = [
-    "BoundaryChannel",
-    "BoundaryLink",
-    "BoundaryMessage",
-    "SenderTap",
-    "EpochScheduler",
-    "lookahead_cycles",
     "WHOLE_UNIT",
     "PartitionedRun",
     "merge_profile_stats",
@@ -50,7 +23,4 @@ __all__ = [
     "profile_top_from_stats",
     "run_partitioned",
     "shard_units",
-    "FusedPartitionedMachine",
-    "ProcessSplitMachine",
-    "SplitPartitionedMachine",
 ]

@@ -21,12 +21,6 @@ reassembles the pieces **in declared unit order**:
 Experiments without a decomposition run as one :data:`WHOLE_UNIT` in
 partition 0; extra partitions simply stay idle, preserving output
 byte-identity rather than refusing the flag.
-
-The *spatial* partitioning of one machine run (cluster side vs memory
-side exchanging boundary messages under conservative-lookahead epochs)
-lives in :mod:`repro.partition.split`; this module is the coarser
-unit-level layer that the CLI exposes, and its telemetry reports the same
-per-partition events/s and barrier-stall numbers.
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ServeError
 
-#: Config overrides a job may carry, with their defaults.  Every knob must
-#: either change the result bytes (``sanitize`` adds the checker summary to
-#: the record) or select an independently verified byte-identical engine
-#: variant (``fastpath``, ``partitions``); all belong in the cache key
-#: because they change what was *run*, which provenance must not conflate.
+#: Config overrides a job may carry, with their defaults.  Every knob
+#: changes either the result bytes (``sanitize`` adds the checker summary
+#: to the record, ``spec`` reshapes the machine) or how the run is
+#: executed (``partitions`` shards it across worker processes); all belong
+#: in the cache key because they change what was *run*, which provenance
+#: must not conflate.
 DEFAULT_JOB_CONFIG: Dict[str, object] = {
     "sanitize": False,
-    "fastpath": True,
     "partitions": 1,
     "spec": None,
 }
@@ -78,7 +78,6 @@ def _validate_spec(key: str, value: object) -> Optional[Dict[str, object]]:
 #: Per-key validators: each canonicalizes (or rejects) one override.
 _CONFIG_VALIDATORS = {
     "sanitize": _validate_bool,
-    "fastpath": _validate_bool,
     "partitions": _validate_partitions,
     "spec": _validate_spec,
 }

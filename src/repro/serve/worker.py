@@ -1,9 +1,9 @@
 """Child-process side of a serve job: run one experiment, stream progress.
 
 :func:`execute_job` is the function :func:`repro.parallel.run_in_process`
-spawns per job.  It applies the job's config (fast-path engine selection,
-sanitizer arming), runs the experiment with a progress-forwarding tracer
-on the ambient trace bus, and returns the canonical result document bytes
+spawns per job.  It applies the job's config (machine spec, partition
+count, sanitizer arming), runs the experiment with a progress-forwarding
+tracer on the ambient trace bus, and returns the canonical result document bytes
 plus the job's columnar trace buffer and its telemetry (buffer bytes,
 instrumentation overhead) for the server's gauges, ``/healthz``, and the
 ``GET /jobs/<id>/trace`` endpoint.
@@ -66,8 +66,6 @@ class _ProgressStore:
     stream a job emits.
     """
 
-    columnar = True
-
     def __init__(self, inner, on_record: Callable[[], None]) -> None:
         self.inner = inner
         self._on_record = on_record
@@ -124,7 +122,6 @@ class ProgressTracer(Tracer):
         super().__init__(
             enabled=True,
             max_records=max_records or serve_trace_records(),
-            columnar=True,
         )
         self._emit = emit
         self._store = _ProgressStore(self._store, self._progress)
@@ -164,72 +161,67 @@ def build_record(
     returned separately by :func:`execute_job`.
     """
     from repro.experiments.registry import get_experiment
-    from repro.hardware import fastpath
     from repro.validate import run_experiment_sanitized
 
     if emit is None:
         emit = lambda data: None  # noqa: E731
     experiment = get_experiment(experiment_key)
     partitions = int(config.get("partitions", 1))
-    previous_fastpath = fastpath.set_enabled(config.get("fastpath", True))
-    try:
-        with ExitStack() as scope:
-            spec_fields = config.get("spec")
-            if spec_fields is not None:
-                # Run the experiment on the machine this builder spec
-                # elaborates to.  The override is ambient, so every
-                # CedarMachine the driver builds -- including inside
-                # partition worker processes, which fork while the
-                # override is installed -- gets the spec's shape.
-                from repro.builder import MachineSpec, build_config
-                from repro.config import overriding
+    with ExitStack() as scope:
+        spec_fields = config.get("spec")
+        if spec_fields is not None:
+            # Run the experiment on the machine this builder spec
+            # elaborates to.  The override is ambient, so every
+            # CedarMachine the driver builds -- including inside
+            # partition worker processes, which fork while the
+            # override is installed -- gets the spec's shape.
+            from repro.builder import MachineSpec, build_config
+            from repro.config import overriding
 
-                spec = MachineSpec.from_dict(dict(spec_fields))
-                scope.enter_context(overriding(build_config(spec)))
-            if tracer is None:
-                tracer = ProgressTracer(emit)
+            spec = MachineSpec.from_dict(dict(spec_fields))
+            scope.enter_context(overriding(build_config(spec)))
+        if tracer is None:
+            tracer = ProgressTracer(emit)
+        emit(
+            {
+                "type": "running",
+                "experiment": experiment_key,
+                "config": config,
+            }
+        )
+        if partitions > 1:
+            # Partitioned parallel simulation: units run in forked child
+            # processes, each with its own tracer/sanitizer; this worker
+            # must be non-daemonic.
+            from repro.partition import run_partitioned
+
+            partitioned = run_partitioned(
+                experiment_key,
+                partitions,
+                sanitized=bool(config.get("sanitize", False)),
+            )
+            result = partitioned.result
+            rendered = partitioned.rendered
+            summary = partitioned.sanitizer
             emit(
                 {
-                    "type": "running",
-                    "experiment": experiment_key,
-                    "config": config,
+                    "type": "partitioned",
+                    "partitions": partitions,
+                    "events_per_sec": partitioned.telemetry[
+                        "events_per_sec"
+                    ],
                 }
             )
-            if partitions > 1:
-                # Partitioned parallel simulation: units run in forked child
-                # processes (they inherit the fastpath setting), each with its
-                # own tracer/sanitizer; this worker must be non-daemonic.
-                from repro.partition import run_partitioned
-
-                partitioned = run_partitioned(
-                    experiment_key,
-                    partitions,
-                    sanitized=bool(config.get("sanitize", False)),
-                )
-                result = partitioned.result
-                rendered = partitioned.rendered
-                summary = partitioned.sanitizer
-                emit(
-                    {
-                        "type": "partitioned",
-                        "partitions": partitions,
-                        "events_per_sec": partitioned.telemetry[
-                            "events_per_sec"
-                        ],
-                    }
-                )
-            else:
-                with tracing(tracer):
-                    if config.get("sanitize", False):
-                        rendered, result, summary = run_experiment_sanitized(
-                            experiment_key
-                        )
-                    else:
-                        result = experiment.run()
-                        rendered = experiment.render(result)
-                        summary = None
-    finally:
-        fastpath.set_enabled(previous_fastpath)
+        else:
+            with tracing(tracer):
+                if config.get("sanitize", False):
+                    rendered, result, summary = run_experiment_sanitized(
+                        experiment_key
+                    )
+                else:
+                    result = experiment.run()
+                    rendered = experiment.render(result)
+                    summary = None
     record: Dict[str, object] = {
         "experiment": experiment_key,
         "description": experiment.description,

@@ -23,10 +23,8 @@ from repro.trace.tracer import (
     CounterSample,
     CounterSet,
     Instant,
-    ObjectStore,
     Span,
     Tracer,
-    columnar_enabled,
     current_tracer,
     tracing,
 )
@@ -42,13 +40,11 @@ __all__ = [
     "CounterSample",
     "CounterSet",
     "Instant",
-    "ObjectStore",
     "Span",
     "StringTable",
     "TraceMerger",
     "TraceSnapshot",
     "Tracer",
-    "columnar_enabled",
     "current_tracer",
     "tracing",
     "chrome_trace_events",

@@ -30,9 +30,9 @@ samples    seq, component, name, epoch, cycle + value (float64)
 =========  =====================================================
 
 ``seq`` is a store-wide monotonic sequence number: it orders eviction
-(the globally-oldest record goes first, exactly like the legacy store's
-single shared ``max_records`` budget) and gives merges a deterministic
-tiebreak for records that share a cycle.
+(the globally-oldest record goes first under one shared ``max_records``
+budget) and gives merges a deterministic tiebreak for records that share
+a cycle.
 """
 
 from __future__ import annotations
@@ -394,14 +394,11 @@ def _segment_bytes(segments: Sequence[memoryview]) -> bytes:
 class ColumnarStore:
     """The flat bounded record store behind a columnar :class:`Tracer`.
 
-    One shared ``max_records`` budget spans all three kinds, like the
-    legacy object store -- but where the legacy store *dropped new*
-    records at capacity, the rings *evict the oldest* record machine-wide
-    (smallest ``seq``), so a long run always retains its most recent
-    window.  Evictions are counted in :attr:`dropped`.
+    One shared ``max_records`` budget spans all three kinds.  At capacity
+    the rings *evict the oldest* record machine-wide (smallest ``seq``),
+    so a long run always retains its most recent window.  Evictions are
+    counted in :attr:`dropped`.
     """
-
-    columnar = True
 
     def __init__(self, max_records: int) -> None:
         if max_records < 1:
@@ -413,7 +410,7 @@ class ColumnarStore:
         self._samples = _Ring(len(SAMPLE_INT_COLUMNS), 1, 0, limit=max_records)
         self._seq = 0
         self._retained = 0
-        self.dropped = 0  # oldest-evicted, mirroring the legacy counter
+        self.dropped = 0  # records evicted oldest-first
 
     # -- hot appends ---------------------------------------------------------
 

@@ -17,8 +17,8 @@ Every exporter accepts either a live :class:`~repro.trace.tracer.Tracer`
 or a :class:`~repro.trace.columnar.TraceSnapshot` (a zero-copy view, a
 deserialized per-worker buffer, or a
 :class:`~repro.trace.merge.TraceMerger` output) and renders through one
-columnar code path -- which is what makes the legacy object store, the
-columnar store, and ``--jobs N`` merges byte-identical in export.
+columnar code path -- which is what makes a live tracer, a reloaded
+buffer, and ``--jobs N`` merges byte-identical in export.
 
 Timestamps are emitted in microseconds (one CE cycle = 170 ns = 0.17 us).
 """

@@ -21,16 +21,10 @@ Like the paper's 1M-event tracers, the record store is bounded
 rather than silently lost, while counter *totals* and busy-cycle aggregates
 stay exact regardless.
 
-Records live in one of two stores:
-
-* the default **columnar store** (:mod:`repro.trace.columnar`): flat
-  preallocated ring-buffer columns with string-interned ids, oldest-first
-  eviction at capacity, and zero-copy :meth:`Tracer.snapshot` export --
-  roughly 2.5x cheaper per record than object storage and mergeable
-  across worker processes;
-* the **legacy object store** (one frozen dataclass per record,
-  drop-newest at capacity), kept behind ``CEDAR_COLUMNAR=0`` as an A/B
-  reference: exporters produce byte-identical output from either.
+Records live in the **columnar store** (:mod:`repro.trace.columnar`):
+flat preallocated ring-buffer columns with string-interned ids,
+oldest-first eviction at capacity, and zero-copy :meth:`Tracer.snapshot`
+export, mergeable across worker processes.
 
 Zero overhead when disabled: every recording entry point starts with an
 ``enabled`` check, and hot components hold ``tracer.if_enabled()`` -- ``None``
@@ -46,33 +40,18 @@ whether anyone is also recording a timeline.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
-from repro.trace.columnar import ColumnarStore, StringTable, TraceSnapshot
+from repro.trace.columnar import ColumnarStore, TraceSnapshot
 
 Clock = Callable[[], int]
 
 #: Default bound on stored records, matching the hardware tracers' 1M events.
 DEFAULT_MAX_RECORDS = 1_000_000
-
-#: Env var gating the columnar store; set to ``0`` for the legacy object
-#: store (read once per Tracer, at construction).
-COLUMNAR_ENV = "CEDAR_COLUMNAR"
-
-#: Nominal heap bytes per object-store record (dataclass + list slot),
-#: so both stores can report a comparable ``buffer_bytes``.
-_OBJECT_RECORD_BYTES = 160
-
-
-def columnar_enabled(env: Optional[Dict[str, str]] = None) -> bool:
-    """Whether new tracers default to the columnar store."""
-    return (env if env is not None else os.environ).get(COLUMNAR_ENV, "1") != "0"
-
 
 @dataclass(frozen=True)
 class Span:
@@ -111,131 +90,6 @@ class CounterSample:
     epoch: int
     cycle: int
     value: float
-
-
-class ObjectStore:
-    """The legacy record store: one frozen dataclass per record.
-
-    Kept as the ``CEDAR_COLUMNAR=0`` A/B reference.  At capacity it drops
-    the *newest* record (the columnar rings evict the oldest); either way
-    ``dropped`` counts exactly ``total_appended - max_records`` overflow
-    records and aggregates stay exact.
-    """
-
-    columnar = False
-
-    def __init__(self, max_records: int) -> None:
-        if max_records < 1:
-            raise TraceError(f"max_records must be >= 1, got {max_records}")
-        self.max_records = max_records
-        self.spans: List[Span] = []
-        self.instants: List[Instant] = []
-        self.samples: List[CounterSample] = []
-        self.dropped = 0
-        self.total_appended = 0
-        self._seqs: Dict[str, List[int]] = {
-            "spans": [], "instants": [], "samples": []
-        }
-
-    def _admit(self, kind: str) -> bool:
-        seq = self.total_appended
-        self.total_appended = seq + 1
-        if self.num_records >= self.max_records:
-            self.dropped += 1
-            return False
-        self._seqs[kind].append(seq)
-        return True
-
-    def add_span(
-        self,
-        component: str,
-        name: str,
-        epoch: int,
-        start: int,
-        end: int,
-        depth: int,
-        args: Optional[Dict[str, object]],
-    ) -> None:
-        if self._admit("spans"):
-            self.spans.append(
-                Span(component, name, epoch, start, end, depth, args)
-            )
-
-    def add_instant(
-        self, component: str, name: str, epoch: int, cycle: int, value: object
-    ) -> None:
-        if self._admit("instants"):
-            self.instants.append(Instant(component, name, epoch, cycle, value))
-
-    def add_sample(
-        self, component: str, name: str, epoch: int, cycle: int, value: float
-    ) -> None:
-        if self._admit("samples"):
-            self.samples.append(CounterSample(component, name, epoch, cycle, value))
-
-    @property
-    def num_records(self) -> int:
-        return len(self.spans) + len(self.instants) + len(self.samples)
-
-    @property
-    def buffer_bytes(self) -> int:
-        return self.num_records * _OBJECT_RECORD_BYTES
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "spans": len(self.spans),
-            "instants": len(self.instants),
-            "samples": len(self.samples),
-        }
-
-    def snapshot(self) -> TraceSnapshot:
-        """Columnarize the object records (copying; export-path only)."""
-        from array import array
-
-        snap = TraceSnapshot()
-        table = StringTable()
-        intern = table.intern
-
-        def seg(typecode: str, values) -> Tuple[memoryview, ...]:
-            return (memoryview(array(typecode, values)),)
-
-        spans = self.spans
-        snap.int_columns["spans"] = {
-            "seq": seg("q", self._seqs["spans"]),
-            "component": seg("q", (intern(s.component) for s in spans)),
-            "name": seg("q", (intern(s.name) for s in spans)),
-            "epoch": seg("q", (s.epoch for s in spans)),
-            "start": seg("q", (s.start for s in spans)),
-            "end": seg("q", (s.end for s in spans)),
-            "depth": seg("q", (s.depth for s in spans)),
-        }
-        snap.obj_columns["spans"]["args"] = ([s.args for s in spans],)
-        instants = self.instants
-        snap.int_columns["instants"] = {
-            "seq": seg("q", self._seqs["instants"]),
-            "component": seg("q", (intern(i.component) for i in instants)),
-            "name": seg("q", (intern(i.name) for i in instants)),
-            "epoch": seg("q", (i.epoch for i in instants)),
-            "cycle": seg("q", (i.cycle for i in instants)),
-        }
-        snap.obj_columns["instants"]["value"] = ([i.value for i in instants],)
-        samples = self.samples
-        snap.int_columns["samples"] = {
-            "seq": seg("q", self._seqs["samples"]),
-            "component": seg("q", (intern(c.component) for c in samples)),
-            "name": seg("q", (intern(c.name) for c in samples)),
-            "epoch": seg("q", (c.epoch for c in samples)),
-            "cycle": seg("q", (c.cycle for c in samples)),
-        }
-        snap.float_columns["samples"]["value"] = seg(
-            "d", (c.value for c in samples)
-        )
-        snap.strings = table.strings
-        snap.counts = self.counts()
-        snap.dropped = self.dropped
-        snap.records_seen = self.total_appended
-        snap.buffer_bytes = self.buffer_bytes
-        return snap
 
 
 class CounterSet:
@@ -310,7 +164,6 @@ class Tracer:
         enabled: bool = True,
         clock: Optional[Clock] = None,
         max_records: int = DEFAULT_MAX_RECORDS,
-        columnar: Optional[bool] = None,
     ) -> None:
         if max_records < 1:
             raise TraceError(f"max_records must be >= 1, got {max_records}")
@@ -318,11 +171,7 @@ class Tracer:
         self.clock = clock
         self.max_records = max_records
         self.epoch = 0
-        if columnar is None:
-            columnar = columnar_enabled()
-        self._store = (
-            ColumnarStore(max_records) if columnar else ObjectStore(max_records)
-        )
+        self._store = ColumnarStore(max_records)
         self._clock_was_set = clock is not None
         self._counter_sets: Dict[str, CounterSet] = {}
         self._span_stacks: Dict[str, List[Tuple[str, int, Optional[Dict[str, object]]]]] = {}
@@ -348,11 +197,6 @@ class Tracer:
         if self.clock is None:
             raise TraceError("tracer has no clock; call set_clock() first")
         return self.clock()
-
-    @property
-    def columnar(self) -> bool:
-        """Whether this tracer records into the columnar store."""
-        return self._store.columnar
 
     # -- counters ----------------------------------------------------------
 
@@ -502,7 +346,7 @@ class Tracer:
 
     @property
     def buffer_bytes(self) -> int:
-        """Bytes held (columnar) or estimated (legacy) by the record store."""
+        """Bytes held by the record store's columns."""
         return self._store.buffer_bytes
 
     def record_counts(self) -> Dict[str, int]:
@@ -511,19 +355,15 @@ class Tracer:
 
     @property
     def interned_strings(self) -> int:
-        """Distinct component/name strings interned (0 for the legacy store)."""
-        store = getattr(self._store, "inner", self._store)
-        return len(store.strings) if store.columnar else 0
+        """Distinct component/name strings interned."""
+        return len(getattr(self._store, "inner", self._store).strings)
 
     # -- record views --------------------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
-        """Stored spans as objects (materialized per access when columnar)."""
-        store = self._store
-        if not store.columnar:
-            return store.spans
-        snap = store.snapshot()
+        """Stored spans as objects (materialized per access)."""
+        snap = self._store.snapshot()
         strings = snap.strings
         component, name, epoch, start, end, depth = snap.columns(
             "spans", "component", "name", "epoch", "start", "end", "depth"
@@ -537,10 +377,7 @@ class Tracer:
 
     @property
     def instants(self) -> List[Instant]:
-        store = self._store
-        if not store.columnar:
-            return store.instants
-        snap = store.snapshot()
+        snap = self._store.snapshot()
         strings = snap.strings
         component, name, epoch, cycle, value = snap.columns(
             "instants", "component", "name", "epoch", "cycle", "value"
@@ -552,10 +389,7 @@ class Tracer:
 
     @property
     def samples(self) -> List[CounterSample]:
-        store = self._store
-        if not store.columnar:
-            return store.samples
-        snap = store.snapshot()
+        snap = self._store.snapshot()
         strings = snap.strings
         component, name, epoch, cycle, value = snap.columns(
             "samples", "component", "name", "epoch", "cycle", "value"

@@ -77,8 +77,6 @@ def _drill_crossbar_arbiter() -> None:
     switch.input_queues[0].push(_packet(destination=0))
     for arbiter in switch.arbiters:
         arbiter.attach(BoundedWordQueue(8, name="drill.arb.sink"))
-        arbiter._fast = True  # force the masked path regardless of env
-    switch._fast = True
     switch._heads_for[0] = 0  # lie: "no head routes to output 0"
     switch.arbiters[0].wake()
 
@@ -176,19 +174,6 @@ def _drill_ccb_iterations() -> None:
     sanitizer.ccb_claimed(counter, 1)
 
 
-def _drill_boundary_conservation() -> None:
-    """A boundary packet is delivered twice across the partition cut."""
-    from repro.partition.boundary import BoundaryChannel
-
-    channel = BoundaryChannel("drill.bnd", num_ports=2, latency=2,
-                              capacity_words=8)
-    channel.attach_sink(0, lambda packet: None)
-    channel.links[0].send(_packet(0, words=1), cycle=0)
-    message = channel.drain_outboxes()[0]
-    channel.deliver(message)
-    channel.deliver(message)  # replayed: conserved-exactly-once breaks
-
-
 #: Invariant class -> drill that must raise SanitizerError for it.
 FAULT_DRILLS: Dict[str, Callable[[], None]] = {
     "queue.capacity": _drill_queue_capacity,
@@ -204,7 +189,6 @@ FAULT_DRILLS: Dict[str, Callable[[], None]] = {
     "sync.shadow": _drill_sync_shadow,
     "cache.balance": _drill_cache_balance,
     "ccb.iterations": _drill_ccb_iterations,
-    "boundary.conservation": _drill_boundary_conservation,
 }
 
 

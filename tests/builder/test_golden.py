@@ -46,7 +46,7 @@ class TestCedarSpecIsTheMachine:
 
     def test_trace_bytes_identical(self):
         def traced_run() -> bytes:
-            tracer = Tracer(columnar=True)
+            tracer = Tracer()
             with tracing(tracer):
                 measure_vector_load(4)
             return tracer.snapshot().to_bytes()

@@ -139,9 +139,6 @@ class ReferenceEngine:
     def pending(self) -> int:
         return len(self._queue)
 
-    def next_event_cycle(self) -> Optional[int]:
-        return self._queue[0][0] if self._queue else None
-
     def run(self, until: Optional[int] = None, max_events: int = 50_000_000) -> int:
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")

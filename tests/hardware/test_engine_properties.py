@@ -166,7 +166,6 @@ def _interpret(engine_class, program):
         return (
             outcome, engine.now, engine.events_dispatched,
             engine.idle_cycles_skipped, engine.pending(),
-            engine.next_event_cycle(),
         )
 
     snapshots = []

@@ -21,10 +21,10 @@ class TestCanonicalConfig:
     def test_override_applies(self):
         config = canonical_config({"sanitize": True})
         assert config["sanitize"] is True
-        assert config["fastpath"] is True
+        assert config["partitions"] == 1
 
     def test_keys_sorted(self):
-        config = canonical_config({"sanitize": True, "fastpath": False})
+        config = canonical_config({"sanitize": True, "partitions": 2})
         assert list(config) == sorted(config)
 
     def test_unknown_key_rejected(self):

@@ -140,6 +140,18 @@ class TestHttpBasics:
                 client.submit("table2", config={"warp": True})
             assert info.value.status == 400
 
+    def test_retired_fastpath_key_is_rejected(self):
+        """``fastpath`` is not a config key: a 400 naming it, nothing run."""
+        server, stub = stub_server()
+        with server:
+            body = json.dumps(
+                {"experiment": "table6", "config": {"fastpath": True}}
+            ).encode("utf-8")
+            status, _, payload = server.client._request("POST", "/jobs", body)
+            assert status == 400
+            assert "'fastpath'" in json.loads(payload)["error"]
+            assert stub.calls == []
+
     def test_submit_wait_result_and_listing(self):
         server, stub = stub_server()
         with server:
@@ -243,7 +255,7 @@ def _stub_trace_bytes():
     """A tiny but real columnar snapshot for the stub executor to serve."""
     from repro.trace import Tracer
 
-    tracer = Tracer(enabled=True, columnar=True)
+    tracer = Tracer(enabled=True)
     tracer.complete("stub", "work", 0, 10)
     tracer.instant("stub", "posted", cycle=5, value=1)
     return tracer.snapshot().to_bytes()
@@ -394,8 +406,7 @@ class TestRealSimulation:
             assert record["experiment"] == "table6"
             assert record["code_version"] == version_fingerprint()
             assert record["config"] == {
-                "fastpath": True, "partitions": 1, "sanitize": False,
-                "spec": None,
+                "partitions": 1, "sanitize": False, "spec": None,
             }
 
             samples = parse_prometheus(client.metrics_text())

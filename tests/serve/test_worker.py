@@ -59,7 +59,7 @@ class TestExecuteJob:
     def test_returns_result_trace_and_telemetry(self):
         events = []
         outcome = worker.execute_job(
-            {"experiment": "table6", "config": {"fastpath": True}},
+            {"experiment": "table6", "config": {"sanitize": False}},
             events.append,
         )
         assert set(outcome) == {"result", "trace", "trace_meta"}

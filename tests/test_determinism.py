@@ -5,14 +5,15 @@ The perf layer makes three claims (see DESIGN.md "Idle fast-forward"):
 * the engine's calendar queue produces the event stream of the
   one-at-a-time heap loop kept in ``tests/hardware/reference_engine.py``,
   including ``events_dispatched``;
-* the components' wake-slimming (crossbar head-route masks) is
-  observationally equivalent to waking every arbiter;
+* the crossbar's head-route masks only skip wakes that could find no
+  work: the production side runs sanitized, so every masked skip and
+  every grant is proven against the sanitizer's unmasked reference scan;
 * ``--jobs N`` only changes which process runs an experiment, never what
   the experiment computes.
 
-These tests pin all three by running real cycle-level kernels both ways
-and comparing everything that is visible: monitor histograms, the full
-machine metrics registry, and engine dispatch counts.
+These tests pin all three by running real cycle-level kernels on both
+engines and comparing everything that is visible: monitor histograms, the
+full machine metrics registry, and engine dispatch counts.
 """
 
 import multiprocessing
@@ -21,7 +22,7 @@ import random
 import pytest
 
 from repro.config import NetworkConfig
-from repro.hardware import fastpath, sanitize
+from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet, PacketKind
@@ -49,12 +50,14 @@ def _traced_run(kernel):
     return repr(run), machine, monitors, events
 
 
-def _with_fastpath(flag, kernel):
-    previous = fastpath.set_enabled(flag)
-    try:
-        return _traced_run(kernel)
-    finally:
-        fastpath.set_enabled(previous)
+def _sanitized_traced_run(kernel):
+    """:func:`_traced_run` with the sanitizer armed; it must stay silent."""
+    with sanitize.sanitizing() as sanitizer:
+        outputs = _traced_run(kernel)
+    sanitizer.finalize()
+    assert sanitizer.violations == 0
+    assert sanitizer.checks.get("crossbar.arbiter", 0) > 0
+    return outputs
 
 
 @pytest.mark.parametrize(
@@ -64,22 +67,22 @@ def _with_fastpath(flag, kernel):
         pytest.param(lambda: measure_tridiag(8), id="tridiag-8"),
     ],
 )
-def test_fastpath_on_off_byte_identical(kernel, monkeypatch):
-    """Calendar queue + crossbar masks vs reference heap loop + plain wakes."""
-    fast = _with_fastpath(True, kernel)
+def test_engine_matches_reference_byte_identical(kernel, monkeypatch):
+    """Calendar queue (sanitized) vs the reference heap loop."""
+    fast = _sanitized_traced_run(kernel)
     monkeypatch.setattr("repro.hardware.machine.Engine", ReferenceEngine)
-    legacy = _with_fastpath(False, kernel)
-    assert fast[0] == legacy[0]        # rendered kernel result
-    assert fast[1] == legacy[1]        # full machine registry, exact
-    assert fast[2] == legacy[2]        # performance-monitor histograms
-    assert fast[3] == legacy[3]        # engine.events_dispatched
+    reference = _traced_run(kernel)
+    assert fast[0] == reference[0]     # rendered kernel result
+    assert fast[1] == reference[1]     # full machine registry, exact
+    assert fast[2] == reference[2]     # performance-monitor histograms
+    assert fast[3] == reference[3]     # engine.events_dispatched
     assert fast[3] is not None and fast[3] > 0
 
 
 def test_fastpath_snapshot_matches_its_own_rerun():
-    """Fast-path runs are themselves deterministic across repeats."""
-    first = _with_fastpath(True, lambda: measure_vector_load(8))
-    second = _with_fastpath(True, lambda: measure_vector_load(8))
+    """Production runs are themselves deterministic across repeats."""
+    first = _traced_run(lambda: measure_vector_load(8))
+    second = _traced_run(lambda: measure_vector_load(8))
     assert first == second
 
 
@@ -117,8 +120,8 @@ def _fuzz_network_run(seed, engine_class=Engine):
         assert network.num_stages == 2
         deliveries = []
         for port in range(16):
-            # packet_id is a process-global counter, so the A/B runs tag
-            # packets with their per-run flow index instead.
+            # packet_id is a process-global counter, so the differential
+            # runs tag packets with their per-run flow index instead.
             network.attach_sink(
                 port,
                 lambda packet, p=port: deliveries.append(
@@ -150,6 +153,7 @@ def _fuzz_network_run(seed, engine_class=Engine):
         engine.run_until_idle()
     sanitizer.finalize()
     assert sanitizer.violations == 0
+    assert sanitizer.checks.get("crossbar.arbiter", 0) > 0
     assert len(deliveries) == len(flows)
     return tuple(deliveries), engine.events_dispatched, network.occupancy_words()
 
@@ -246,24 +250,17 @@ def test_registry_unit_decompositions_cover_run(key):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1993])
-def test_fuzzed_network_fastpath_on_off_identical(seed):
-    """Differential fuzz, sanitizer armed in both runs: calendar queue with
-    ``CEDAR_FASTPATH=1`` vs the reference heap loop with ``CEDAR_FASTPATH=0``.
+def test_fuzzed_network_matches_reference_engine(seed):
+    """Differential fuzz, sanitizer armed in both runs: calendar queue vs
+    the reference heap loop.
 
-    The masked-wake and calendar-queue rewrites must be invisible under
-    arbitrary contention: byte-identical delivery streams and identical
-    ``events_dispatched``.
+    Under arbitrary contention the calendar queue must be invisible
+    (byte-identical delivery streams, identical ``events_dispatched``),
+    and every masked crossbar skip and grant must pass the sanitizer's
+    unmasked reference scan.
     """
-    previous = fastpath.set_enabled(True)
-    try:
-        fast = _fuzz_network_run(seed)
-    finally:
-        fastpath.set_enabled(previous)
-    previous = fastpath.set_enabled(False)
-    try:
-        legacy = _fuzz_network_run(seed, ReferenceEngine)
-    finally:
-        fastpath.set_enabled(previous)
-    assert fast[0] == legacy[0]  # (port, packet_id, cycle) stream
-    assert fast[1] == legacy[1]  # events_dispatched
-    assert fast[2] == legacy[2] == 0  # network fully drained
+    fast = _fuzz_network_run(seed)
+    reference = _fuzz_network_run(seed, ReferenceEngine)
+    assert fast[0] == reference[0]  # (port, packet_id, cycle) stream
+    assert fast[1] == reference[1]  # events_dispatched
+    assert fast[2] == reference[2] == 0  # network fully drained

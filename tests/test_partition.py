@@ -1,14 +1,8 @@
-"""Partitioned simulation: boundary cut, epoch discipline, shard runtime.
+"""Unit-sharded partitioned execution behind ``--partitions N``.
 
-Three layers under test (DESIGN.md §10):
-
-* the boundary channels and their credit flow control;
-* the conservative-lookahead epoch scheduler, including the edge cases
-  that make or break determinism -- empty-epoch fast-forward, a send on
-  the last cycle of an epoch, global inertness;
-* the spatial elaborations (fused / split / process-split), which must
-  produce identical runs, and the unit-shard runtime behind
-  ``--partitions N``.
+Experiments shard their independent machine-run units across worker
+processes (DESIGN.md §10); the planner, the round-robin sharding, crash
+surfacing and profile merging are pinned here.
 """
 
 import multiprocessing
@@ -16,19 +10,9 @@ import os
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
-from repro.errors import SimulationError, WorkerCrashError
-from repro.hardware.engine import Engine
-from repro.hardware.packet import Packet, PacketKind
-from repro.kernels.tridiag_matvec import tridiag_kernel
+from repro.errors import WorkerCrashError
 from repro.partition import (
     WHOLE_UNIT,
-    BoundaryChannel,
-    EpochScheduler,
-    FusedPartitionedMachine,
-    ProcessSplitMachine,
-    SplitPartitionedMachine,
-    lookahead_cycles,
     merge_profile_stats,
     plan_units,
     run_partitioned,
@@ -39,120 +23,6 @@ from repro.partition import (
 def _fork_only():
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("worker processes inherit test state via fork")
-
-
-class TestLookahead:
-    def test_default_machine_lookahead(self):
-        # 32 ports through radix-8 switches: 2 stages x 1 cycle.
-        assert lookahead_cycles(DEFAULT_CONFIG) == 2
-
-    def test_epoch_shorter_than_latency_rejected(self):
-        engine = Engine()
-        channel = BoundaryChannel("t", 1, latency=1, capacity_words=8)
-        with pytest.raises(SimulationError):
-            EpochScheduler([engine], [(channel, engine, engine)], epoch_cycles=2)
-
-    def test_epoch_length_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            EpochScheduler([Engine()], [], epoch_cycles=0)
-
-
-class TestEpochEdgeCases:
-    def test_empty_epochs_fast_forward(self):
-        # An event 10k cycles out must not cost 5k empty barrier rounds.
-        engine = Engine()
-        fired = []
-        engine.schedule(10_000, lambda: fired.append(engine.now))
-        scheduler = EpochScheduler([engine], [], epoch_cycles=2)
-        scheduler.run(done=lambda: bool(fired))
-        assert fired == [10_000]
-        assert scheduler.epochs_run <= 3
-
-    def test_send_on_last_epoch_cycle_delivers_next_epoch(self):
-        # The lookahead guarantee at its boundary: a send on the final
-        # cycle of an epoch still lands strictly after the barrier.
-        engine = Engine()
-        channel = BoundaryChannel("t", 1, latency=2, capacity_words=64)
-        delivered = []
-        channel.attach_sink(0, lambda packet: delivered.append(engine.now))
-        packet = Packet(
-            kind=PacketKind.READ_REQUEST,
-            source=0,
-            destination=0,
-            address=0,
-            words=4,
-        )
-        # Epoch 0 spans cycles 0..1; send on cycle 1, the horizon.
-        engine.schedule(1, lambda: channel.links[0].send(packet, engine.now))
-        scheduler = EpochScheduler(
-            [engine], [(channel, engine, engine)], epoch_cycles=2
-        )
-        scheduler.run(done=lambda: bool(delivered))
-        assert delivered == [1 + channel.latency]
-        assert scheduler.barrier_exchanges == 1
-
-    def test_globally_inert_system_raises_instead_of_spinning(self):
-        engine = Engine()
-        scheduler = EpochScheduler([engine], [], epoch_cycles=2)
-        with pytest.raises(SimulationError, match="stalled"):
-            scheduler.run(done=lambda: False)
-
-    def test_credit_starved_link_refuses_overcommit(self):
-        channel = BoundaryChannel("t", 1, latency=2, capacity_words=4)
-        link = channel.links[0]
-        packet = Packet(
-            kind=PacketKind.READ_REQUEST,
-            source=0,
-            destination=0,
-            address=0,
-            words=4,
-        )
-        link.send(packet, 0)
-        assert link.credits == 0
-        assert not link.can_send(packet)
-        with pytest.raises(SimulationError, match="overcommitted"):
-            link.send(packet, 0)
-
-
-def _machine_run(machine):
-    """One small tridiag run; return every cheap observable."""
-    finish = machine.run_kernel(
-        tridiag_kernel(machine.config, strips=3), num_ces=4
-    )
-    return finish, machine.total_flops, [ce.flops for ce in machine.all_ces]
-
-
-class TestSpatialElaborations:
-    def test_fused_split_process_split_identical(self):
-        """The tentpole determinism claim, machine-level: three
-        elaborations of the same cut produce the same run."""
-        _fork_only()
-        fused = _machine_run(FusedPartitionedMachine(DEFAULT_CONFIG))
-        split = _machine_run(SplitPartitionedMachine(DEFAULT_CONFIG))
-        with ProcessSplitMachine(DEFAULT_CONFIG) as machine:
-            process = _machine_run(machine)
-            assert machine.remote_events_dispatched > 0
-            assert machine.barrier_stall_seconds >= 0.0
-        assert fused == split
-        assert split == process
-        assert fused[1] > 0  # the kernel did real arithmetic
-
-    def test_split_partition_stats_expose_both_sides(self):
-        machine = SplitPartitionedMachine(DEFAULT_CONFIG)
-        _machine_run(machine)
-        stats = {s["partition"]: s for s in machine.partition_stats()}
-        assert stats["cluster"]["events_dispatched"] > 0
-        assert stats["memory"]["events_dispatched"] > 0
-
-    def test_dead_memory_worker_surfaces_as_crash(self):
-        """Fault drill: kill the memory side, the parent must not hang."""
-        _fork_only()
-        with ProcessSplitMachine(DEFAULT_CONFIG) as machine:
-            machine._process.terminate()
-            machine._process.join()
-            with pytest.raises(WorkerCrashError) as info:
-                machine._recv()
-            assert info.value.experiment == "partition:memory"
 
 
 class TestShardRuntime:

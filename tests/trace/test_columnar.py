@@ -11,10 +11,11 @@ from repro.trace import (
     TraceSnapshot,
     Tracer,
     chrome_trace_json,
-    columnar_enabled,
     utilization_report,
 )
 from repro.trace.columnar import INITIAL_CAPACITY, render_value
+
+from reference_store import ObjectStore
 
 
 class FakeClock:
@@ -110,7 +111,7 @@ class TestRingWraparound:
         assert store.dropped == 0
 
     def test_tracer_wraparound_keeps_exporters_consistent(self):
-        tracer = Tracer(clock=FakeClock(), max_records=8, columnar=True)
+        tracer = Tracer(clock=FakeClock(), max_records=8)
         _record_mixed(tracer, n=10)  # 30 records into an 8-slot budget
         assert tracer.num_records == 8
         assert tracer.dropped == 22
@@ -130,11 +131,18 @@ class TestRingWraparound:
             ColumnarStore(max_records=0)
 
 
+def _object_tracer(**kwargs) -> Tracer:
+    """A tracer recording into the reference object store."""
+    tracer = Tracer(clock=FakeClock(), **kwargs)
+    tracer._store = ObjectStore(tracer.max_records)
+    return tracer
+
+
 class TestLegacyParity:
-    """CEDAR_COLUMNAR=0 (object store) must export byte-identically."""
+    """The reference object store must export byte-identically."""
 
     def _traced(self, columnar: bool) -> Tracer:
-        tracer = Tracer(clock=FakeClock(), columnar=columnar)
+        tracer = Tracer(clock=FakeClock()) if columnar else _object_tracer()
         _record_mixed(tracer)
         tracer.instant("bus", "signal", cycle=99, value="text")
         return tracer
@@ -160,10 +168,10 @@ class TestLegacyParity:
         assert legacy.records_seen == columnar.records_seen
 
     def test_drop_accounting_differs_only_in_window(self):
-        # Same drop *count*; the legacy store drops newest, the ring
+        # Same drop *count*; the object store drops newest, the ring
         # evicts oldest -- both retain max_records.
-        legacy = Tracer(clock=FakeClock(), max_records=5, columnar=False)
-        columnar = Tracer(clock=FakeClock(), max_records=5, columnar=True)
+        legacy = _object_tracer(max_records=5)
+        columnar = Tracer(clock=FakeClock(), max_records=5)
         for tracer in (legacy, columnar):
             for i in range(9):
                 tracer.instant("c", "tick", cycle=i, value=i)
@@ -172,15 +180,10 @@ class TestLegacyParity:
         assert [i.value for i in legacy.instants] == [0, 1, 2, 3, 4]
         assert [i.value for i in columnar.instants] == [4, 5, 6, 7, 8]
 
-    def test_env_gate(self):
-        assert columnar_enabled({}) is True
-        assert columnar_enabled({"CEDAR_COLUMNAR": "0"}) is False
-        assert columnar_enabled({"CEDAR_COLUMNAR": "1"}) is True
-
 
 class TestWireFormat:
     def _snapshot(self) -> TraceSnapshot:
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         _record_mixed(tracer)
         return tracer.snapshot()
 
@@ -240,7 +243,7 @@ class TestZeroCopySnapshot:
 
 class TestOverheadEstimate:
     def test_reports_per_record_cost_and_ratio(self):
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         _record_mixed(tracer)
         estimate = tracer.overhead_estimate(wall_seconds=1.0)
         assert estimate["records"] == tracer.records_seen
@@ -251,7 +254,7 @@ class TestOverheadEstimate:
         )
 
     def test_zero_wall_clock_does_not_divide(self):
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         tracer.instant("c", "tick", cycle=0)
         estimate = tracer.overhead_estimate(wall_seconds=0.0)
         assert estimate["ratio"] == 0.0

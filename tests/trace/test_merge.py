@@ -15,7 +15,7 @@ class FakeClock:
 
 def _worker_tracer(base: int, component: str) -> Tracer:
     """One worker's buffer: a span, an instant, a sample, counters."""
-    tracer = Tracer(columnar=True)
+    tracer = Tracer()
     tracer.set_clock(FakeClock())
     tracer.complete(component, "work", base, base + 10, tag=base)
     tracer.instant(component, "posted", cycle=base + 1, value=base)
@@ -26,7 +26,7 @@ def _worker_tracer(base: int, component: str) -> Tracer:
 
 class TestMergeSemantics:
     def test_epochs_renumber_cumulatively_in_add_order(self):
-        first = Tracer(columnar=True)
+        first = Tracer()
         first.set_clock(FakeClock())
         first.complete("m", "run", 0, 10)
         first.set_clock(FakeClock())  # second machine run -> epoch 1
