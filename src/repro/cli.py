@@ -51,7 +51,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import cProfile
 import difflib
 import json
 import sys
@@ -60,12 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import results as results_mod
 from repro.errors import BenchError, LintError, WorkerCrashError
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    QUICK_EXPERIMENTS,
-    run_experiment,
-    run_experiment_traced,
-)
+from repro.experiments.registry import EXPERIMENTS, QUICK_EXPERIMENTS
 from repro.hardware import sanitize
 from repro.metrics import bench as bench_mod
 from repro.parallel import parallel_map
@@ -77,7 +71,6 @@ from repro.trace import (
     utilization_report,
     write_chrome_trace,
 )
-from repro.validate import run_experiment_sanitized
 from repro.version import version_fingerprint
 
 
@@ -126,8 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "independent machine-run units across N worker processes and "
         "recombine deterministically (stdout, sanitizer summaries and "
         "--trace-out are byte-identical for any N; per-partition "
-        "events/s and barrier-stall telemetry goes to stderr); "
-        "mutually exclusive with --jobs",
+        "events/s and barrier-stall telemetry goes to stderr and, with "
+        "--json, into each record's 'partition' block); without it each "
+        "experiment runs whole in one process; mutually exclusive with "
+        "--jobs",
     )
     run.add_argument(
         "--trace-out",
@@ -455,18 +450,6 @@ def _unknown_experiment(key: str) -> int:
     return 2
 
 
-#: Kept under their historical private names; the canonical definitions
-#: moved to :mod:`repro.results` so the serve tier shares them.
-_json_key = results_mod.json_key
-_jsonable = results_mod.jsonable
-
-
-def _profile_top(profiler: cProfile.Profile, top: int) -> List[Dict[str, object]]:
-    """The ``top`` hottest functions by total time, as JSON-safe records."""
-    profiler.create_stats()
-    return profile_top_from_stats(profiler.stats, top)
-
-
 def _render_profile(rows: List[Dict[str, object]]) -> str:
     lines = [f"{'tottime':>10s} {'cumtime':>10s} {'ncalls':>12s}  function"]
     for row in rows:
@@ -486,97 +469,40 @@ def _sanitizer_line(summary: Dict[str, object]) -> str:
     )
 
 
-def _execute_run(
-    key: str, sanitized: bool, traced: bool, profiled: bool = False
-) -> Tuple[
-    str, object, Optional[Dict], Optional[bytes], Optional[Dict], Optional[Dict]
-]:
-    """Run one experiment; optionally record it on a columnar tracer.
-
-    Returns ``(rendered, jsonable result, sanitizer summary, trace
-    snapshot wire bytes, trace telemetry, cProfile stats dict)`` -- the
-    trace pair ``None`` unless ``traced``, the stats ``None`` unless
-    ``profiled``.  The trace travels as wire bytes even in-process, so
-    ``--jobs 1`` and ``--jobs N`` feed the merger byte-identical inputs;
-    the raw stats dict (not a rendered top-N) travels likewise, so
-    worker-process profiles aggregate in the parent.
-    """
-    tracer = Tracer(enabled=True) if traced else None
-    profiler = cProfile.Profile() if profiled else None
-    summary = None
-    began = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
-    try:
-        if sanitized:
-            if tracer is not None:
-                with tracing(tracer):
-                    text, result, summary = run_experiment_sanitized(key)
-            else:
-                text, result, summary = run_experiment_sanitized(key)
-        else:
-            experiment = EXPERIMENTS[key]
-            if tracer is not None:
-                with tracing(tracer):
-                    result = experiment.run()
-            else:
-                result = experiment.run()
-            text = experiment.render(result)
-    finally:
-        if profiler is not None:
-            profiler.disable()
-    trace_bytes: Optional[bytes] = None
-    trace_meta: Optional[Dict[str, object]] = None
-    if tracer is not None:
-        wall_seconds = time.perf_counter() - began
-        overhead = tracer.overhead_estimate(wall_seconds)
-        trace_bytes = tracer.snapshot().to_bytes()
-        trace_meta = {
-            "records": tracer.num_records,
-            "records_seen": tracer.records_seen,
-            "dropped": tracer.dropped,
-            "buffer_bytes": tracer.buffer_bytes,
-            "overhead_ratio": overhead["ratio"],
-            "overhead_per_record_ns": overhead["per_record_ns"],
-        }
-    profile_stats: Optional[Dict] = None
-    if profiler is not None:
-        profiler.create_stats()
-        profile_stats = profiler.stats
-    return text, _jsonable(result), summary, trace_bytes, trace_meta, profile_stats
-
-
-def _run_worker(
-    task: Tuple[str, bool, bool, bool]
-) -> Tuple[
-    str, str, object, Optional[Dict], Optional[bytes], Optional[Dict],
-    Optional[Dict],
-]:
-    """Worker-process entry: run one experiment, return rendered + JSON data."""
-    key, sanitized, traced, profiled = task
-    return (key,) + _execute_run(key, sanitized, traced, profiled)
-
-
-def _run_one(
-    key: str, args: argparse.Namespace, sanitized: bool, traced: bool
+def _run_record(
+    task: Tuple[str, Optional[int], bool, bool, bool, int]
 ) -> Tuple[Dict[str, object], Optional[bytes]]:
-    """Run ``key`` in-process, honouring --profile/--sanitize/--trace-out."""
-    rendered, data, summary, trace_bytes, trace_meta, stats = _execute_run(
-        key, sanitized, traced, profiled=args.profile
+    """Run one experiment through the executor; build its JSON-safe record.
+
+    Also the ``--jobs`` worker entry.  The trace travels as wire bytes even
+    in-process, so ``--jobs 1`` and ``--jobs N`` feed the merger
+    byte-identical inputs; the ``partition`` block appears only for
+    ``--partitions`` runs.
+    """
+    key, partitions, sanitized, traced, profiled, top = task
+    run = run_partitioned(
+        key,
+        partitions,
+        sanitized=sanitized,
+        traced=traced,
+        profiled=profiled,
+        instrumented=partitions is not None,
     )
     record: Dict[str, object] = {
         "experiment": key,
         "description": EXPERIMENTS[key].description,
-        "result": data,
-        "rendered": rendered,
+        "result": results_mod.jsonable(run.result),
+        "rendered": run.rendered,
     }
-    if summary is not None:
-        record["sanitizer"] = summary
-    if trace_meta is not None:
-        record["trace"] = trace_meta
-    if stats is not None:
-        record["profile"] = profile_top_from_stats(stats, args.top)
-    return record, trace_bytes
+    if partitions is not None:
+        record["partition"] = run.telemetry
+    if run.sanitizer is not None:
+        record["sanitizer"] = run.sanitizer
+    if run.trace_meta is not None:
+        record["trace"] = run.trace_meta
+    if run.profile_stats is not None:
+        record["profile"] = profile_top_from_stats(run.profile_stats, top)
+    return record, run.trace_bytes
 
 
 def _write_merged_trace(
@@ -615,72 +541,6 @@ def _partition_telemetry_lines(key: str, telemetry: Dict[str, object]) -> List[s
     return lines
 
 
-def _cmd_run_partitioned(
-    args: argparse.Namespace, keys: List[str], sanitized: bool, traced: bool
-) -> int:
-    """The ``run --partitions N`` path: unit-sharded partitioned execution.
-
-    stdout (rendered artifacts, sanitizer lines) and ``--trace-out`` are
-    byte-identical for any partition count; the per-partition events/s
-    and barrier-stall telemetry goes to stderr.
-    """
-    json_mode = args.json or bool(args.out)
-    traces: Dict[str, Optional[bytes]] = {}
-    results: List[Dict[str, object]] = []
-    for key in keys:
-        if args.out:
-            print(f"running {key} ...", file=sys.stderr)
-        run = run_partitioned(
-            key,
-            args.partitions,
-            sanitized=sanitized,
-            traced=traced,
-            profiled=args.profile,
-        )
-        traces[key] = run.trace_bytes
-        for line in _partition_telemetry_lines(key, run.telemetry):
-            print(line, file=sys.stderr)
-        record: Dict[str, object] = {
-            "experiment": key,
-            "description": EXPERIMENTS[key].description,
-            "result": _jsonable(run.result),
-            "rendered": run.rendered,
-            "partition": run.telemetry,
-        }
-        if run.sanitizer is not None:
-            record["sanitizer"] = run.sanitizer
-        if run.trace_meta is not None:
-            record["trace"] = run.trace_meta
-        if run.profile_stats is not None:
-            record["profile"] = profile_top_from_stats(
-                run.profile_stats, args.top
-            )
-        results.append(record)
-    if traced:
-        _write_merged_trace(keys, traces, args.trace_out)
-    if not json_mode:
-        for record in results:
-            print(record["rendered"])
-            if "sanitizer" in record:
-                print(_sanitizer_line(record["sanitizer"]))
-            print()
-            if args.profile:
-                print(f"-- hottest functions ({record['experiment']}) --")
-                print(_render_profile(record["profile"]))
-                print()
-        return 0
-    for record in results:
-        record["code_version"] = version_fingerprint()
-    document = json.dumps(results, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(document + "\n")
-        print(f"wrote {len(results)} result(s) to {args.out}", file=sys.stderr)
-    else:
-        print(document)
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if "all" in args.experiments:
         keys = sorted(EXPERIMENTS)
@@ -714,104 +574,61 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # anything else in the process, e.g. the bench harness).
     sanitized = args.sanitize or sanitize.enabled()
     traced = args.trace_out is not None
-    if args.partitions is not None:
-        return _cmd_run_partitioned(args, keys, sanitized, traced)
-    tasks = [(key, sanitized, traced, args.profile) for key in keys]
-    parallel = args.jobs > 1 and len(keys) > 1
-    traces: Dict[str, Optional[bytes]] = {}
-    if not args.json and not args.out and not args.profile:
-        if parallel:
-            # Collect everything, then print in key order: stdout is
-            # byte-identical to the sequential run.
-            rendered: Dict[str, str] = {}
-            summaries: Dict[str, Optional[Dict]] = {}
-            for _, (key, text, _, summary, trace_bytes, _meta, _stats) in parallel_map(
-                _run_worker, list(zip(keys, tasks)),
-                jobs=min(args.jobs, len(keys)),
-            ):
-                rendered[key] = text
-                summaries[key] = summary
-                traces[key] = trace_bytes
-            for key in keys:
-                print(rendered[key])
-                if summaries[key] is not None:
-                    print(_sanitizer_line(summaries[key]))
-                print()
-        else:
-            for key in keys:
-                if traced or sanitized:
-                    text, _, summary, trace_bytes, _meta, _stats = _execute_run(
-                        key, sanitized, traced
-                    )
-                    traces[key] = trace_bytes
-                    print(text)
-                    if summary is not None:
-                        print(_sanitizer_line(summary))
-                else:
-                    print(run_experiment(key))
-                print()
-        if traced:
-            _write_merged_trace(keys, traces, args.trace_out)
-        return 0
-
-    results = []
-    if parallel:
-        records: Dict[str, Dict[str, object]] = {}
-        for _, (
-            key, text, data, summary, trace_bytes, trace_meta, stats
-        ) in parallel_map(
-            _run_worker, list(zip(keys, tasks)),
-            jobs=min(args.jobs, len(keys)),
+    json_mode = args.json or bool(args.out)
+    tasks = [
+        (key, (key, args.partitions, sanitized, traced, args.profile, args.top))
+        for key in keys
+    ]
+    if args.jobs > 1 and len(keys) > 1:
+        # Collect everything, then walk key order: output is
+        # byte-identical to the sequential run.
+        finished = {}
+        for key, outcome in parallel_map(
+            _run_record, tasks, jobs=min(args.jobs, len(keys))
         ):
             if args.out:
                 print(f"finished {key}", file=sys.stderr)
-            records[key] = {
-                "experiment": key,
-                "description": EXPERIMENTS[key].description,
-                "result": data,
-                "rendered": text,
-            }
-            if summary is not None:
-                records[key]["sanitizer"] = summary
-            if trace_meta is not None:
-                records[key]["trace"] = trace_meta
-            if stats is not None:
-                # Each experiment profiled in its own worker; the raw
-                # stats dict crossed the process boundary, the top-N is
-                # rendered here in the parent.
-                records[key]["profile"] = profile_top_from_stats(
-                    stats, args.top
-                )
-            traces[key] = trace_bytes
-        results = [records[key] for key in keys]
+            finished[key] = outcome
+        outcomes = (finished[key] for key in keys)
     else:
-        for key in keys:
-            if args.out:
-                print(f"running {key} ...", file=sys.stderr)
-            record, trace_bytes = _run_one(key, args, sanitized, traced)
-            results.append(record)
-            traces[key] = trace_bytes
-    for record in results:
-        record["code_version"] = version_fingerprint()
-    if traced:
-        _write_merged_trace(keys, traces, args.trace_out)
+        def run_in_order():
+            for key, task in tasks:
+                if args.out:
+                    print(f"running {key} ...", file=sys.stderr)
+                yield _run_record(task)
 
-    if args.profile and not args.json and not args.out:
-        for record in results:
-            print(record["rendered"])
-            if "sanitizer" in record:
-                print(_sanitizer_line(record["sanitizer"]))
-            print()
-            print(f"-- hottest functions ({record['experiment']}) --")
+        outcomes = run_in_order()
+
+    records: List[Dict[str, object]] = []
+    traces: Dict[str, Optional[bytes]] = {}
+    for key, (record, trace_bytes) in zip(keys, outcomes):
+        records.append(record)
+        traces[key] = trace_bytes
+        if "partition" in record:
+            for line in _partition_telemetry_lines(key, record["partition"]):
+                print(line, file=sys.stderr)
+        if json_mode:
+            continue
+        print(record["rendered"])
+        if "sanitizer" in record:
+            print(_sanitizer_line(record["sanitizer"]))
+        print()
+        if args.profile:
+            print(f"-- hottest functions ({key}) --")
             print(_render_profile(record["profile"]))
             print()
+    if traced:
+        _write_merged_trace(keys, traces, args.trace_out)
+    if not json_mode:
         return 0
 
-    document = json.dumps(results, indent=2)
+    for record in records:
+        record["code_version"] = version_fingerprint()
+    document = json.dumps(records, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(document + "\n")
-        print(f"wrote {len(results)} result(s) to {args.out}", file=sys.stderr)
+        print(f"wrote {len(records)} result(s) to {args.out}", file=sys.stderr)
     else:
         print(document)
     return 0
@@ -903,7 +720,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"cannot write {args.out}: {error}", file=sys.stderr)
             return 2
     tracer = Tracer(enabled=True)
-    print(run_experiment_traced(args.experiment, tracer))
+    with tracing(tracer):
+        run = run_partitioned(args.experiment, None, instrumented=False)
+    print(run.rendered)
     print()
     if args.out:
         write_chrome_trace(tracer, args.out)

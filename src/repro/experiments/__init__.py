@@ -5,6 +5,6 @@ Each module exposes ``run()`` returning a structured result and
 paper's artifact ids to them for :mod:`repro.cli`.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 
-__all__ = ["EXPERIMENTS", "get_experiment", "run_experiment"]
+__all__ = ["EXPERIMENTS", "get_experiment"]

@@ -8,11 +8,10 @@ fidelity section of ``BENCH_<n>.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.metrics.headline import HeadlineMetric
-from repro.trace import Tracer, tracing
 
 from repro.experiments import (
     figure3,
@@ -169,20 +168,3 @@ def get_experiment(key: str) -> Experiment:
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {key!r}; known: {known}") from None
-
-
-def run_experiment(key: str) -> str:
-    """Run and render one experiment."""
-    experiment = get_experiment(key)
-    return experiment.render(experiment.run())
-
-
-def run_experiment_traced(key: str, tracer: Tracer) -> str:
-    """Run and render one experiment with ``tracer`` as the ambient bus.
-
-    Every machine (cycle-level or analytic) the experiment driver builds
-    attaches to ``tracer``; the rendered artifact is byte-identical to an
-    untraced :func:`run_experiment` because tracing only observes.
-    """
-    with tracing(tracer):
-        return run_experiment(key)

@@ -32,7 +32,6 @@ import gc
 import json
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -87,27 +86,17 @@ def bench_experiment(key: str, trace: bool = True) -> Dict[str, object]:
     # Imported here, not at module top: experiments.registry imports
     # repro.metrics.headline, so a top-level import would be circular.
     from repro.experiments.registry import get_experiment
+    from repro.partition import run_partitioned
 
     experiment = get_experiment(key)
     tracer = Tracer(enabled=trace)
     catcher = MonitorCatcher(tracer)
-    # Pause the cyclic garbage collector around the timed region (the same
-    # policy as ``timeit``): reference counting still reclaims everything
-    # acyclic immediately, while collector pauses -- which otherwise fire
-    # thousands of times across a multi-million-event run -- stop eating
-    # into the measured simulator throughput.  The deferred full collect
-    # below runs outside the timing and bounds memory between experiments.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    start = time.perf_counter()
-    try:
-        with tracing(tracer):
-            result = experiment.run()
-        wall_seconds = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
+    # The executor pauses the cyclic garbage collector around the timed
+    # region, so collector pauses do not eat into simulator throughput.
+    with tracing(tracer):
+        run = run_partitioned(key, None, instrumented=False)
+    result = run.result
+    wall_seconds = float(run.telemetry["wall_seconds"])
 
     fidelity = [metric.as_dict() for metric in experiment.headline(result)]
 
@@ -241,6 +230,7 @@ def build_snapshot(
             if progress is not None:
                 progress(key)
             experiments[key] = bench_experiment(key, trace=trace)
+            gc.collect()  # bound memory between experiments, outside timing
     if partitions is not None and partitions > 1:
         from repro.experiments.registry import get_experiment
 

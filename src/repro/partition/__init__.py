@@ -1,8 +1,8 @@
-"""Partitioned parallel simulation: ``cedar-repro run --partitions N``.
+"""The experiment executor, including ``cedar-repro run --partitions N``.
 
-:mod:`repro.partition.runtime` shards one experiment's independent
-machine-run units across worker processes and recombines them
-deterministically.
+:mod:`repro.partition.runtime` runs one experiment whole, or shards its
+independent machine-run units across worker processes and recombines
+them deterministically.
 """
 
 from repro.partition.runtime import (

@@ -1,9 +1,15 @@
-"""Unit-sharded partitioned execution behind ``cedar-repro run --partitions N``.
+"""The one experiment executor: ``run``, ``trace``, ``bench`` and ``serve``.
 
-An experiment that declares a unit decomposition (``Experiment.units`` /
-``run_unit`` / ``combine``) is a bag of *independent machine runs*: every
-Table 1 cell, every Table 2 (kernel, CE-count) point, every PPT4 CG timing
-is its own simulator instance with its own engine, network and memory.
+:func:`run_partitioned` is the only code that executes a registry
+experiment.  ``partitions=None`` runs it whole, as one :data:`WHOLE_UNIT`
+in this process; that is what an unflagged ``cedar-repro run``, ``trace``,
+``bench`` and a ``partitions: 1`` serve job do.
+
+An integer is ``cedar-repro run --partitions N``.  An experiment that
+declares a unit decomposition (``Experiment.units`` / ``run_unit`` /
+``combine``) is a bag of *independent machine runs*: every Table 1 cell,
+every Table 2 (kernel, CE-count) point, every PPT4 CG timing is its own
+simulator instance with its own engine, network and memory.
 ``run_partitioned`` shards those units round-robin across N worker
 processes, runs each unit under a fresh per-unit tracer and sanitizer, and
 reassembles the pieces **in declared unit order**:
@@ -21,6 +27,10 @@ reassembles the pieces **in declared unit order**:
 Experiments without a decomposition run as one :data:`WHOLE_UNIT` in
 partition 0; extra partitions simply stay idle, preserving output
 byte-identity rather than refusing the flag.
+
+A whole run is never split into units: merged per-unit traces differ from
+one shared tracer's (record order, sampled gauges), so ``--trace-out``
+without ``--partitions`` keeps the single-tracer bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -68,22 +79,27 @@ def _run_units(
 ) -> Dict[str, object]:
     """Run one shard's units in order; collect per-unit artifacts.
 
-    Every unit gets a *fresh* tracer and (when armed) a *fresh* sanitizer:
-    the unit, not the shard, is the determinism boundary, so per-unit
-    artifacts reassemble identically however units are sharded.
+    A unit gets a *fresh* tracer only when the shard must ship its trace
+    (``traced``) or count partition telemetry (``instrumented``); it gets
+    a fresh sanitizer whenever one is armed.  The unit, not the shard, is
+    the determinism boundary, so per-unit artifacts reassemble
+    identically however units are sharded.
 
-    ``instrumented=False`` runs each unit with a *disabled* tracer -- the
-    true fast path, no counters or timeline events on any hot path -- so
-    the shard's wall time measures only the simulator.  Event counts then
-    read as zero; callers wanting a rate divide the (deterministic) event
-    count from an instrumented run of the same units by this wall time.
+    Otherwise the unit runs on the caller's ambient trace bus: serve's
+    progress tracer, bench's monitor tracer, ``trace``'s tracer, or none
+    at all -- the uninstrumented fast path, no counters or timeline events
+    on any hot path.  Event counts then read as zero; callers wanting a
+    rate divide the (deterministic) event count from an instrumented run
+    of the same units by this wall time.
     """
     experiment = get_experiment(key)
     results: Dict[str, object] = {}
     summaries: Dict[str, Dict[str, object]] = {}
     traces: Dict[str, bytes] = {}
     events = 0.0
-    records_seen = 0
+    trace_counts = dict.fromkeys(
+        ("records", "records_seen", "dropped", "buffer_bytes"), 0
+    )
     overhead_seconds = 0.0
     per_record_ns = 0.0
     for unit in units:
@@ -91,14 +107,13 @@ def _run_units(
             run_one = experiment.run
         else:
             run_one = lambda: experiment.run_unit(unit)  # noqa: E731
+        tracer: Optional[Tracer] = None
         if traced:
             tracer = Tracer(enabled=True)
         elif instrumented:
             tracer = Tracer(enabled=True, max_records=TELEMETRY_RECORDS)
-        else:
-            tracer = Tracer(enabled=False)
         began = time.perf_counter()
-        with tracing(tracer):
+        with tracing(tracer) if tracer is not None else nullcontext():
             if sanitized:
                 with sanitizing() as sanitizer:
                     result = run_one()
@@ -108,6 +123,8 @@ def _run_units(
                 result = run_one()
         wall = time.perf_counter() - began
         results[unit] = result
+        if tracer is None:
+            continue
         events += sum(
             counters.get("events_dispatched", 0)
             for counters in tracer.counter_totals().values()
@@ -115,7 +132,10 @@ def _run_units(
         if traced:
             traces[unit] = tracer.snapshot().to_bytes()
             overhead = tracer.overhead_estimate(wall)
-            records_seen += tracer.records_seen
+            trace_counts["records"] += tracer.num_records
+            trace_counts["records_seen"] += tracer.records_seen
+            trace_counts["dropped"] += tracer.dropped
+            trace_counts["buffer_bytes"] += tracer.buffer_bytes
             overhead_seconds += overhead["overhead_seconds"]
             per_record_ns = overhead["per_record_ns"]
     return {
@@ -123,8 +143,8 @@ def _run_units(
         "sanitizers": summaries,
         "traces": traces,
         "events": events,
+        "trace_counts": trace_counts,
         "overhead": {
-            "records_seen": records_seen,
             "overhead_seconds": overhead_seconds,
             "per_record_ns": per_record_ns,
         },
@@ -134,9 +154,11 @@ def _run_units(
 def _shard_worker(payload: Tuple) -> Dict[str, object]:
     """Worker-process entry: run one partition's shard of units.
 
-    The cyclic garbage collector pauses around the timed region -- the
-    same ``timeit`` policy the bench harness applies -- so the shard's
-    events/s measures the simulator, not collector pauses.
+    The cyclic garbage collector pauses around the timed region (the
+    ``timeit`` policy): reference counting still reclaims everything
+    acyclic at once, so the shard's wall time measures the simulator, not
+    collector pauses.  No collect is forced afterwards: a shard child
+    exits next, and an in-process caller's collector resumes on its own.
     """
     key, units, sanitized, traced, profiled, instrumented = payload
     profiler = cProfile.Profile() if profiled else None
@@ -153,7 +175,6 @@ def _shard_worker(payload: Tuple) -> Dict[str, object]:
             profiler.disable()
         if gc_was_enabled:
             gc.enable()
-        gc.collect()
     output["wall_seconds"] = wall_seconds
     if profiler is not None:
         profiler.create_stats()
@@ -213,13 +234,14 @@ class PartitionedRun:
     """Everything one partitioned experiment run produced."""
 
     key: str
-    partitions: int
+    #: ``None`` for a whole run.
+    partitions: Optional[int]
     result: object
     rendered: str
     #: Aggregated sanitizer summary (unit summaries summed in unit order),
     #: ``None`` unless the run was sanitized.
     sanitizer: Optional[Dict[str, object]]
-    #: Merged trace snapshot wire bytes (unit buffers merged in unit
+    #: Trace snapshot wire bytes (several unit buffers merged in unit
     #: order), ``None`` unless traced.
     trace_bytes: Optional[bytes]
     trace_meta: Optional[Dict[str, object]]
@@ -251,22 +273,24 @@ def _aggregate_sanitizer(
 
 def run_partitioned(
     key: str,
-    partitions: int,
+    partitions: Optional[int] = None,
     sanitized: bool = False,
     traced: bool = False,
     profiled: bool = False,
     instrumented: bool = True,
 ) -> PartitionedRun:
-    """Run one experiment sharded across ``partitions`` worker processes.
+    """Run one experiment whole (``partitions=None``) or sharded.
 
-    ``partitions == 1`` runs the same per-unit code path in-process, so
-    the outputs (rendered text, combined result, sanitizer summary,
-    merged trace bytes) are byte-identical for any partition count; only
-    the wall-clock telemetry differs.
+    ``partitions=None`` runs the experiment as one :data:`WHOLE_UNIT` in
+    this process.  An integer shards its declared units across that many
+    worker processes; ``partitions == 1`` runs the same per-unit code path
+    in-process, so the outputs (rendered text, combined result, sanitizer
+    summary, merged trace bytes) are byte-identical for any partition
+    count; only the wall-clock telemetry differs.
 
-    ``instrumented=False`` (bench timing mode) disables the per-unit
-    tracers entirely so shard wall time measures the bare fast path;
-    event counts in the telemetry read as zero and the caller supplies a
+    ``instrumented=False`` installs no per-unit tracer, so the run
+    attaches to the caller's ambient bus (see :func:`_run_units`); event
+    counts in the telemetry read as zero and the caller supplies a
     deterministic count from an instrumented run.  Tracing implies
     instrumentation, so ``traced=True`` overrides it.
     """
@@ -275,11 +299,11 @@ def run_partitioned(
     from repro.parallel import parallel_map
 
     instrumented = instrumented or traced
-    units = plan_units(key)
-    shards = shard_units(units, partitions)
+    units = [WHOLE_UNIT] if partitions is None else plan_units(key)
+    shards = shard_units(units, 1 if partitions is None else partitions)
     outputs: Dict[int, Dict[str, object]] = {}
     began = time.perf_counter()
-    if partitions == 1:
+    if len(shards) == 1:
         outputs[0] = _shard_worker(
             (key, shards[0], sanitized, traced, profiled, instrumented)
         )
@@ -313,7 +337,7 @@ def run_partitioned(
         unit_results.update(output["results"])
         unit_summaries.update(output["sanitizers"])
         unit_traces.update(output["traces"])
-    if experiment.units is None:
+    if units == [WHOLE_UNIT]:
         result = unit_results[WHOLE_UNIT]
     else:
         result = experiment.combine(unit_results)
@@ -324,29 +348,28 @@ def run_partitioned(
     trace_bytes: Optional[bytes] = None
     trace_meta: Optional[Dict[str, object]] = None
     if traced:
-        merger = TraceMerger()
-        for unit in units:
-            merger.add(unit_traces[unit])
-        merged = merger.merge()
-        trace_bytes = merged.to_bytes()
+        if len(units) == 1:
+            trace_bytes = unit_traces[units[0]]  # nothing to splice
+        else:
+            merger = TraceMerger()
+            for unit in units:
+                merger.add(unit_traces[unit])
+            trace_bytes = merger.merge().to_bytes()
         # Sum in partition order: float addition is not associative, so
         # an arrival-order sum would wobble in the last bits run to run.
+        trace_meta = {
+            name: sum(outputs[p]["trace_counts"][name] for p in sorted(outputs))
+            for name in ("records", "records_seen", "dropped", "buffer_bytes")
+        }
         overhead_seconds = sum(
             outputs[p]["overhead"]["overhead_seconds"] for p in sorted(outputs)
         )
-        per_record_ns = max(
+        trace_meta["overhead_ratio"] = (
+            overhead_seconds / total_wall if total_wall > 0 else 0.0
+        )
+        trace_meta["overhead_per_record_ns"] = max(
             output["overhead"]["per_record_ns"] for output in outputs.values()
         )
-        trace_meta = {
-            "records": merged.num_records,
-            "records_seen": merged.records_seen,
-            "dropped": merged.dropped,
-            "buffer_bytes": merged.buffer_bytes,
-            "overhead_ratio": (
-                overhead_seconds / total_wall if total_wall > 0 else 0.0
-            ),
-            "overhead_per_record_ns": per_record_ns,
-        }
 
     profile_stats: Optional[Dict[Tuple, Tuple]] = None
     if profiled:

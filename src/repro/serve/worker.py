@@ -16,16 +16,15 @@ machine/kernel the driver runs).  Record counts are deterministic, so two
 runs of the same job emit the same progress stream -- the serving tier
 adds no nondeterminism of its own.
 
-The tracer records into a *bounded* columnar ring
-(``CEDAR_SERVE_TRACE_RECORDS`` records, default 2**18): a serve job keeps
-the most recent window of its timeline at a fixed memory ceiling instead
-of a 1M-record store per in-flight request, while counter totals and
-busy-cycle aggregates stay exact regardless of evictions.
+The tracer records into a *bounded* columnar ring (:data:`TRACE_RECORDS`
+records): a serve job keeps the most recent window of its timeline at a
+fixed memory ceiling instead of a 1M-record store per in-flight request,
+while counter totals and busy-cycle aggregates stay exact regardless of
+evictions.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import ExitStack
 from typing import Callable, Dict, Optional
@@ -39,23 +38,10 @@ from repro.version import version_fingerprint
 #: in the tens of events, cheap enough to forward over a pipe per job.
 PROGRESS_INTERVAL = 250_000
 
-#: Env var bounding the per-job columnar ring, in records.
-TRACE_RECORDS_ENV = "CEDAR_SERVE_TRACE_RECORDS"
-
-#: Default per-job ring bound: 2**18 records (~14 MiB of columns).
-DEFAULT_TRACE_RECORDS = 1 << 18
+#: Per-job ring bound: 2**18 records (~14 MiB of columns).
+TRACE_RECORDS = 1 << 18
 
 Emit = Callable[[object], None]
-
-
-def serve_trace_records() -> int:
-    """The per-job trace-ring bound (``CEDAR_SERVE_TRACE_RECORDS``)."""
-    raw = os.environ.get(TRACE_RECORDS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    return value if value > 0 else DEFAULT_TRACE_RECORDS
 
 
 class _ProgressStore:
@@ -121,7 +107,7 @@ class ProgressTracer(Tracer):
     def __init__(self, emit: Emit, max_records: Optional[int] = None) -> None:
         super().__init__(
             enabled=True,
-            max_records=max_records or serve_trace_records(),
+            max_records=max_records or TRACE_RECORDS,
         )
         self._emit = emit
         self._store = _ProgressStore(self._store, self._progress)
@@ -161,7 +147,7 @@ def build_record(
     returned separately by :func:`execute_job`.
     """
     from repro.experiments.registry import get_experiment
-    from repro.validate import run_experiment_sanitized
+    from repro.partition import run_partitioned
 
     if emit is None:
         emit = lambda data: None  # noqa: E731
@@ -189,49 +175,34 @@ def build_record(
                 "config": config,
             }
         )
-        if partitions > 1:
-            # Partitioned parallel simulation: units run in forked child
-            # processes, each with its own tracer/sanitizer; this worker
-            # must be non-daemonic.
-            from repro.partition import run_partitioned
-
-            partitioned = run_partitioned(
+        # One partition runs whole on the progress tracer.  More shard
+        # the units over forked child processes (this worker must be
+        # non-daemonic), each unit on its own telemetry tracer.
+        with tracing(tracer):
+            run = run_partitioned(
                 experiment_key,
-                partitions,
+                partitions if partitions > 1 else None,
                 sanitized=bool(config.get("sanitize", False)),
+                instrumented=partitions > 1,
             )
-            result = partitioned.result
-            rendered = partitioned.rendered
-            summary = partitioned.sanitizer
-            emit(
-                {
-                    "type": "partitioned",
-                    "partitions": partitions,
-                    "events_per_sec": partitioned.telemetry[
-                        "events_per_sec"
-                    ],
-                }
-            )
-        else:
-            with tracing(tracer):
-                if config.get("sanitize", False):
-                    rendered, result, summary = run_experiment_sanitized(
-                        experiment_key
-                    )
-                else:
-                    result = experiment.run()
-                    rendered = experiment.render(result)
-                    summary = None
+    if partitions > 1:
+        emit(
+            {
+                "type": "partitioned",
+                "partitions": partitions,
+                "events_per_sec": run.telemetry["events_per_sec"],
+            }
+        )
     record: Dict[str, object] = {
         "experiment": experiment_key,
         "description": experiment.description,
         "config": dict(config),
         "code_version": version_fingerprint(),
-        "result": jsonable(result),
-        "rendered": rendered,
+        "result": jsonable(run.result),
+        "rendered": run.rendered,
     }
-    if summary is not None:
-        record["sanitizer"] = summary
+    if run.sanitizer is not None:
+        record["sanitizer"] = run.sanitizer
     emit(
         {
             "type": "finished",

@@ -238,8 +238,8 @@ class TraceSnapshot:
 
     __slots__ = (
         "strings", "counts", "int_columns", "float_columns", "obj_columns",
-        "counter_totals", "busy_cycles", "span_counts", "elapsed_by_epoch",
-        "epochs", "dropped", "records_seen", "values_rendered", "buffer_bytes",
+        "counter_totals", "sampled_counters", "busy_cycles", "span_counts",
+        "elapsed_by_epoch", "epochs", "dropped", "records_seen", "values_rendered", "buffer_bytes",
     )
 
     def __init__(self) -> None:
@@ -250,6 +250,8 @@ class TraceSnapshot:
         self.float_columns: Dict[str, Dict[str, Sequence]] = {k: {} for k in KINDS}
         self.obj_columns: Dict[str, Dict[str, Sequence]] = {k: {} for k in KINDS}
         self.counter_totals: Dict[str, Dict[str, float]] = {}
+        #: component -> sorted names of its sampled counters (gauges).
+        self.sampled_counters: Dict[str, List[str]] = {}
         self.busy_cycles: Dict[str, int] = {}
         self.span_counts: Dict[str, int] = {}
         self.elapsed_by_epoch: Dict[int, int] = {}
@@ -304,6 +306,7 @@ class TraceSnapshot:
             "strings": self.strings,
             "counts": self.counts,
             "counter_totals": self.counter_totals,
+            "sampled_counters": self.sampled_counters,
             "busy_cycles": self.busy_cycles,
             "span_counts": self.span_counts,
             "elapsed_by_epoch": {str(k): v for k, v in self.elapsed_by_epoch.items()},
@@ -353,6 +356,7 @@ class TraceSnapshot:
         snap.strings = list(header["strings"])
         snap.counts = {kind: int(header["counts"][kind]) for kind in KINDS}
         snap.counter_totals = header["counter_totals"]
+        snap.sampled_counters = header["sampled_counters"]
         snap.busy_cycles = header["busy_cycles"]
         snap.span_counts = header["span_counts"]
         snap.elapsed_by_epoch = {

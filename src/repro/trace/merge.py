@@ -13,7 +13,9 @@ them into one coherent :class:`~repro.trace.columnar.TraceSnapshot`:
   with the store-wide sequence number as the deterministic tiebreak;
 * **aggregates are summed** (busy cycles, span counts, counter totals) or
   offset (elapsed-by-epoch), exactly as one shared tracer would have
-  accumulated them.
+  accumulated them; a *sampled* counter (a gauge, which a tracer sets
+  rather than adds to) takes its value from the last snapshot, in add
+  order, that carries it.
 
 Because the merge is a pure function of the added snapshots *in add
 order*, feeding it the per-experiment buffers in experiment-key order
@@ -25,7 +27,7 @@ merge-determinism smoke step pins down.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from repro.trace.columnar import (
     INSTANT_INT_COLUMNS,
@@ -77,6 +79,7 @@ class TraceMerger:
 
         rows: Dict[str, List[tuple]] = {kind: [] for kind in _KIND_LAYOUT}
         objs: Dict[str, List[object]] = {kind: [] for kind in _KIND_LAYOUT}
+        sampled: Dict[str, Set[str]] = {}
         epoch_offset = 0
         seq_offset = 0
         for snap in self._snapshots:
@@ -107,8 +110,16 @@ class TraceMerger:
             _merge_sum(merged.busy_cycles, snap.busy_cycles)
             _merge_sum(merged.span_counts, snap.span_counts)
             for component, totals in snap.counter_totals.items():
-                _merge_sum(
-                    merged.counter_totals.setdefault(component, {}), totals
+                target = merged.counter_totals.setdefault(component, {})
+                gauges = snap.sampled_counters.get(component, ())
+                for name, value in totals.items():
+                    if name in gauges:
+                        target[name] = value
+                    else:
+                        target[name] = target.get(name, 0) + value
+            for component in sorted(snap.sampled_counters):
+                sampled.setdefault(component, set()).update(
+                    snap.sampled_counters[component]
                 )
             for epoch, cycles in snap.elapsed_by_epoch.items():
                 merged.elapsed_by_epoch[epoch + epoch_offset] = cycles
@@ -118,6 +129,9 @@ class TraceMerger:
             epoch_offset += snap.epochs
             seq_offset += max(snap.records_seen, 1)
         merged.epochs = epoch_offset or 1
+        merged.sampled_counters = {
+            component: sorted(sampled[component]) for component in sorted(sampled)
+        }
 
         for kind, (int_names, time_name) in _KIND_LAYOUT.items():
             seq_at = int_names.index("seq")

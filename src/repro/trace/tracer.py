@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TraceError
 from repro.trace.columnar import ColumnarStore, TraceSnapshot
@@ -99,10 +99,11 @@ class CounterSet:
     by interned :meth:`slot` ids -- hot call sites prebind a slot once and
     bump ``counters.values[slot] += delta`` with no per-event hashing.
     Sampled timeline points go through the owning tracer's bounded record
-    store.
+    store; the names of sampled counters (gauges, whose total is the last
+    value set) are kept in ``sampled``.
     """
 
-    __slots__ = ("component", "_tracer", "_index", "_names", "values")
+    __slots__ = ("component", "_tracer", "_index", "_names", "values", "sampled")
 
     def __init__(self, component: str, tracer: "Tracer") -> None:
         self.component = component
@@ -110,6 +111,7 @@ class CounterSet:
         self._index: Dict[str, int] = {}
         self._names: List[str] = []
         self.values: List[float] = []
+        self.sampled: Set[str] = set()
 
     def slot(self, name: str) -> int:
         """Intern counter ``name``, returning its index into ``values``.
@@ -135,6 +137,7 @@ class CounterSet:
     def sample(self, name: str, value: float, cycle: int) -> None:
         """Set counter ``name`` to ``value`` and record a timeline point."""
         self.values[self.slot(name)] = value
+        self.sampled.add(name)
         self._tracer._record_sample(self.component, name, cycle, value)
 
     def get(self, name: str) -> float:
@@ -437,6 +440,11 @@ class Tracer:
         """
         snap = self._store.snapshot()
         snap.counter_totals = self.counter_totals()
+        snap.sampled_counters = {
+            component: sorted(counters.sampled)
+            for component, counters in sorted(self._counter_sets.items())
+            if counters.sampled
+        }
         snap.busy_cycles = dict(self._busy)
         snap.span_counts = dict(self._span_counts)
         snap.elapsed_by_epoch = dict(self._elapsed)

@@ -1,23 +1,13 @@
 """Validation harness: experiments under the hardware invariant sanitizer.
 
 Glue between :mod:`repro.hardware.sanitize` (the invariant checkers wired
-into the hot components) and the rest of the repo:
-
-* :func:`run_experiment_sanitized` -- run one registry experiment with a
-  fresh armed sanitizer, finalize the end-of-run conservation checks, and
-  return the rendered artifact plus the sanitizer's summary (what
-  ``cedar-repro run --sanitize`` calls, per experiment and per worker);
-* :mod:`repro.validate.faults` -- the fault drills proving each checker
-  class actually fires.
-
-A sanitized run is observationally identical to an unsanitized one (the
-sanitizer only reads component state), so the rendered artifact here is
-byte-identical to ``run_experiment``'s.
+into the hot components) and the rest of the repo: the sanitizer API, and
+:mod:`repro.validate.faults`, the fault drills proving each checker class
+actually fires.  Sanitized experiment runs go through the one executor,
+:func:`repro.partition.run_partitioned` (``sanitized=True``).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
 
 from repro.errors import SanitizerError
 from repro.hardware.sanitize import Sanitizer, enabled, sanitizing
@@ -28,30 +18,7 @@ __all__ = [
     "Sanitizer",
     "SanitizerError",
     "enabled",
-    "run_experiment_sanitized",
     "run_fault_drills",
     "sanitizing",
 ]
 
-
-def run_experiment_sanitized(key: str) -> Tuple[str, object, Dict[str, object]]:
-    """Run one experiment with an armed sanitizer.
-
-    Returns:
-        ``(rendered, result, summary)`` -- the rendered artifact (identical
-        to an unsanitized run), the raw result object, and
-        :meth:`Sanitizer.summary`.  The end-of-run :meth:`Sanitizer.finalize`
-        conservation checks run only after the experiment completed, so a
-        failing simulation surfaces its own error rather than a cascade of
-        balance violations.
-
-    Raises:
-        SanitizerError: the first invariant violation, aborting the run.
-    """
-    from repro.experiments.registry import get_experiment
-
-    experiment = get_experiment(key)
-    with sanitizing() as sanitizer:
-        result = experiment.run()
-    sanitizer.finalize()
-    return experiment.render(result), result, sanitizer.summary()

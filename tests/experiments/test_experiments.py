@@ -7,7 +7,7 @@ and the analytic-model experiments that run in milliseconds.
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments import EXPERIMENTS, get_experiment
 from repro.experiments import figure3, restructuring, table3, table4, table5, table6
 
 

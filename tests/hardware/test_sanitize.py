@@ -16,7 +16,7 @@ from repro.kernels.vector_load import measure_vector_load
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.collector import collect_sanitizer
 from repro.trace import Tracer, tracing
-from repro.validate import FAULT_DRILLS, run_experiment_sanitized
+from repro.validate import FAULT_DRILLS
 from repro.validate.faults import _drill_engine_schedule
 
 
@@ -142,11 +142,13 @@ class TestCleanRuns:
         assert checked and sum(checked.values()) == sanitizer.total_checks
 
     def test_run_experiment_sanitized_matches_unsanitized_render(self):
-        from repro.experiments.registry import run_experiment
+        from repro.experiments.registry import get_experiment
+        from repro.partition import run_partitioned
 
-        rendered, _, summary = run_experiment_sanitized("table5")
-        assert rendered == run_experiment("table5")
-        assert summary["violations"] == 0
+        run = run_partitioned("table5", None, sanitized=True)
+        experiment = get_experiment("table5")
+        assert run.rendered == experiment.render(experiment.run())
+        assert run.sanitizer["violations"] == 0
 
 
 class TestFinalize:

@@ -252,7 +252,16 @@ class TestBenchCli:
         captured = capsys.readouterr()
         assert "BENCH_0.json" in captured.err  # picked up as baseline
         assert (tmp_path / "BENCH_1.json").exists()
-        assert "0 failure(s), 0 warning(s)" in captured.out
+        assert "0 failure(s)," in captured.out
+        # A ~10 ms run's wall clock can drift past the self_profile
+        # tolerance (warn-only host noise); fidelity and machine series
+        # are deterministic and must not move at all.
+        findings = [
+            line
+            for line in captured.out.splitlines()
+            if line.startswith(("  FAIL  ", "  WARN  ", "  info  "))
+        ]
+        assert all("[self_profile]" in line for line in findings), findings
 
     def test_tampered_baseline_fails_with_exit_1(self, tmp_path, capsys):
         assert self.run_bench(tmp_path) == 0

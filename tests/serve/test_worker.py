@@ -1,24 +1,17 @@
 """Tests for the serve worker process side (repro.serve.worker)."""
 
 import json
+import multiprocessing
+
+import pytest
 
 from repro.serve import worker
 from repro.trace import TraceSnapshot
 
 
-class TestTraceRecordsBound:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(worker.TRACE_RECORDS_ENV, raising=False)
-        assert worker.serve_trace_records() == worker.DEFAULT_TRACE_RECORDS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(worker.TRACE_RECORDS_ENV, "1024")
-        assert worker.serve_trace_records() == 1024
-
-    def test_garbage_and_nonpositive_fall_back(self, monkeypatch):
-        for raw in ("zero", "", "-5", "0"):
-            monkeypatch.setenv(worker.TRACE_RECORDS_ENV, raw)
-            assert worker.serve_trace_records() == worker.DEFAULT_TRACE_RECORDS
+def _fork_only():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("partitioned workers fork from the test process")
 
 
 class TestProgressTracer:
@@ -86,12 +79,7 @@ class TestExecuteJob:
 
 class TestPartitionedJob:
     def test_partitioned_record_matches_single_modulo_config(self):
-        import multiprocessing
-
-        if multiprocessing.get_start_method() != "fork":
-            import pytest
-
-            pytest.skip("partitioned workers fork from the test process")
+        _fork_only()
         events = []
         sharded = worker.build_record(
             "table6", {"partitions": 2, "sanitize": True}, events.append
@@ -124,16 +112,38 @@ class TestSpecOverride:
         )
         monkeypatch.setitem(registry.EXPERIMENTS, "vl-probe", experiment)
 
-    def test_spec_reshapes_the_machine(self, monkeypatch):
+    @staticmethod
+    def _job_config(partitions: int, spec=None):
+        """A sharded job also arms the sanitizer: spec x partitions x
+        sanitize is the combination that once crashed through serve."""
         from repro.serve.schema import canonical_config
 
+        if partitions > 1:
+            _fork_only()
+        overrides = {"partitions": partitions, "sanitize": partitions > 1}
+        if spec is not None:
+            overrides["spec"] = spec
+        return canonical_config(overrides)
+
+    def _check_spec_reshapes(self, monkeypatch, partitions: int) -> None:
         self._register_probe(monkeypatch)
-        default = worker.build_record("vl-probe", canonical_config(None))
-        reshaped = worker.build_record(
-            "vl-probe", canonical_config({"spec": {"memory_modules": 8}})
-        )
+        default = worker.build_record("vl-probe", self._job_config(partitions))
+        config = self._job_config(partitions, {"memory_modules": 8})
+        reshaped = worker.build_record("vl-probe", config)
         assert reshaped["result"] != default["result"]
         assert reshaped["config"]["spec"]["memory_modules"] == 8
+        if partitions > 1:
+            unsharded = worker.build_record(
+                "vl-probe", dict(config, partitions=1)
+            )
+            assert unsharded.pop("config") != reshaped.pop("config")
+            assert reshaped == unsharded
+
+    def test_spec_reshapes_the_machine(self, monkeypatch):
+        self._check_spec_reshapes(monkeypatch, partitions=1)
+
+    def test_spec_reshapes_the_sharded_machine(self, monkeypatch):
+        self._check_spec_reshapes(monkeypatch, partitions=2)
 
     def test_cedar_spec_reproduces_the_default_result(self, monkeypatch):
         from repro.serve.schema import canonical_config
@@ -147,12 +157,17 @@ class TestSpecOverride:
         assert explicit["result"] == default["result"]
         assert explicit["config"] != default["config"]
 
-    def test_override_does_not_leak_out_of_the_job(self, monkeypatch):
+    def _check_override_does_not_leak(self, monkeypatch, partitions: int):
         from repro.config import DEFAULT_CONFIG, active_config
-        from repro.serve.schema import canonical_config
 
         self._register_probe(monkeypatch)
         worker.build_record(
-            "vl-probe", canonical_config({"spec": {"memory_modules": 8}})
+            "vl-probe", self._job_config(partitions, {"memory_modules": 8})
         )
         assert active_config() is DEFAULT_CONFIG
+
+    def test_override_does_not_leak_out_of_the_job(self, monkeypatch):
+        self._check_override_does_not_leak(monkeypatch, partitions=1)
+
+    def test_override_does_not_leak_out_of_a_sharded_job(self, monkeypatch):
+        self._check_override_does_not_leak(monkeypatch, partitions=2)

@@ -48,12 +48,29 @@ class TestMergeSemantics:
         merger.add(_worker_tracer(100, "m").snapshot())
         merged = merger.merge()
         assert merged.counter_totals["m"]["packets"] == 6
-        # occupancy samples also land in exact counter totals (latest wins
-        # per tracer, summed across workers).
         assert merged.busy_cycles == {"m": 20}
         assert merged.span_counts == {"m": 2}
         assert merged.num_records == 6
         assert merged.records_seen == 6
+
+    def test_sampled_gauge_keeps_the_last_value_like_one_shared_tracer(self):
+        shared = Tracer()
+        first, second = Tracer(), Tracer()
+        for tracer, value in ((shared, 20.0), (first, 20.0)):
+            tracer.sample("fwd", "occupancy_words", value, cycle=1)
+            tracer.count("fwd", "packets", 2)
+        for tracer, value in ((shared, 10.0), (second, 10.0)):
+            tracer.sample("fwd", "occupancy_words", value, cycle=2)
+            tracer.count("fwd", "packets", 3)
+        merger = TraceMerger()
+        merger.add(first.snapshot())
+        merger.add(second.snapshot().to_bytes())  # survives the wire too
+        merged = merger.merge()
+        assert shared.counter_totals() == {
+            "fwd": {"occupancy_words": 10.0, "packets": 5}
+        }
+        assert merged.counter_totals == shared.counter_totals()
+        assert merged.sampled_counters == {"fwd": ["occupancy_words"]}
 
     def test_records_sort_by_epoch_then_time_with_seq_tiebreak(self):
         late = _worker_tracer(100, "b")
