@@ -1,7 +1,7 @@
 """An 8x8 crossbar switch with queued ports (Section 2, "Global Network").
 
 Each switch has a bounded word-queue per input port and a round-robin
-arbiter per output port.  An arbiter takes ``packet.words`` cycles (one word
+arbiter per output port.  An output takes ``packet.words`` cycles (one word
 per cycle over the 64-bit data path) to move the head packet of an input
 queue to the downstream queue, and blocks -- exerting back-pressure through
 the flow control -- when the downstream queue is full.
@@ -12,23 +12,33 @@ input queue (doubling its capacity) so that a hop costs one arbitration
 rather than two; the total buffering per port pair and the back-pressure
 behaviour are preserved.
 
-Wake masks: every input queue reports head changes to the switch, which
-keeps a per-output count of head packets routed to that output
-(``_heads_for``).  A wake of an arbiter with no head routed to it is
-observationally a no-op -- the round-robin scan would find nothing, count
-nothing and register nothing -- so masked wakes skip straight past it in
-O(1).  Scans that *can* see a candidate run the full round-robin
-first-fit (including re-scans that re-count a port conflict).  The
-sanitizer's independent unmasked reference scan proves every skip and
-every grant (``crossbar.arbiter``, ``queue.head``).  The deferred post-pop
-re-scan event is always scheduled: whether it finds work is only known at
-dispatch time, after same-cycle arrivals.
+State layout: the switch owns all of its arbitration state as flat lists.
+Per output: ``busy``, the round-robin pointer ``next_input``, the packet
+``in_flight`` and the downstream ``sink``.  Per input: ``_head_route``, the
+route of the queue's head packet (None when empty); and per output again,
+``_heads_for``, how many heads route there.  The input queues are
+:class:`SwitchInputQueue`, whose push and pop keep those masks current
+inline and then call the switch directly.  The space waiter that re-scans
+an output and the completion that ends its transfer are bound once per
+output at construction, so a port conflict queues a reference instead of
+allocating a callable.
+
+Wake masks: a scan of an output with no head routed to it would find
+nothing, count nothing and register nothing, so such wakes return in
+O(1).  Scans that *can* see a candidate run the full round-robin first-fit,
+including re-scans that re-count a port conflict and queue another space
+waiter.  The sanitizer's unmasked reference scan proves every skip and
+every grant (``crossbar.arbiter``, ``queue.head``).  The deferred post-grant
+re-scan of the whole switch is always scheduled: whether it finds work is
+only known at dispatch time, after same-cycle arrivals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet
@@ -37,150 +47,76 @@ from repro.hardware.queueing import BoundedWordQueue
 RouteFunction = Callable[[Packet], int]
 
 
-class _OutputArbiter:
-    """Round-robin arbiter for one crossbar output."""
-
-    __slots__ = (
-        "engine",
-        "switch",
-        "output_index",
-        "cycles_per_word",
-        "_busy",
-        "_next_input",
-        "_in_flight",
-        "_sink",
-        "_heads",
-        "_queues",
-        "_head_route",
-        "_sanitizer",
+@lru_cache(maxsize=None)
+def _rotations(radix: int) -> Tuple[Tuple[int, ...], ...]:
+    """Scan order of the inputs for each round-robin pointer position."""
+    return tuple(
+        tuple(range(start, radix)) + tuple(range(start)) for start in range(radix)
     )
 
+
+class SwitchInputQueue(BoundedWordQueue):
+    """An input-port queue that keeps its switch's head-route masks.
+
+    Its switch is its only observer.  A push into an empty queue and every
+    pop re-derive the masks before anyone reacts; then a push wakes the
+    whole switch and a pop wakes one blocked upstream writer.
+    """
+
     def __init__(
-        self,
-        engine: Engine,
-        switch: "CrossbarSwitch",
-        output_index: int,
-        cycles_per_word: int,
+        self, switch: "CrossbarSwitch", index: int, capacity_words: int
     ) -> None:
-        self.engine = engine
-        self.switch = switch
-        self.output_index = output_index
-        self.cycles_per_word = cycles_per_word
-        self._busy = False
-        self._next_input = 0
-        self._in_flight: Optional[Packet] = None
-        self._sink: Optional[BoundedWordQueue] = None
-        # Hot-path prebinds: wake() runs once or more per event on the
-        # network's critical path.
-        self._heads = switch._heads_for
-        self._queues = switch.input_queues
+        super().__init__(capacity_words, name=f"{switch.name}.in[{index}]")
+        self._index = index
+        self._route = switch.route
         self._head_route = switch._head_route
-        self._sanitizer = switch._sanitizer
+        self._heads_for = switch._heads_for
+        self._wake_all = switch.wake_all
 
-    def attach(self, sink: BoundedWordQueue) -> None:
-        self._sink = sink
-
-    def wake(self) -> None:
-        """Try to start a transfer; called on input pushes and sink drains."""
-        sink = self._sink
-        if self._busy or sink is None:
-            return
-        switch = self.switch
-        queues = self._queues
-        radix = switch.radix
-        start = self._next_input
-        chosen = -1
-        # The head-route array already holds route(head) per input (None
-        # when empty), so the scan needs no head()/route() calls until it
-        # lands on a match.  The scan is inlined here because wake() fires
-        # for every push on the network's critical path.
-        output_index = self.output_index
-        if not self._heads[output_index]:
-            if self._sanitizer is not None:
-                # The skip is only legal if the reference scan would also
-                # have found nothing; prove it.
-                self._sanitizer.check_masked_skip(self)
-            return  # no head routed here: the scan could find nothing
-        head_route = self._head_route
-        for offset in range(radix):
-            index = start + offset
-            if index >= radix:
-                index -= radix
-            if head_route[index] != output_index:
-                continue
-            head = queues[index]._packets[0]
-            if head.words <= sink.capacity_words - sink._used_words:
-                chosen = index
-                break
-            self._count_conflict(sink, head)
-            return
-        if chosen < 0:
-            return
-        if self._sanitizer is not None:
-            # Before any mutation: the grant must match the shadow
-            # reference arbiter and the round-robin pointer must be fair.
-            self._sanitizer.check_arbiter_grant(self, start, chosen)
-        self._busy = True
-        packet = queues[chosen].pop()
-        self._next_input = (chosen + 1) % radix
-        self._in_flight = packet
-        delay = packet.words * self.cycles_per_word
-        # Popping may have exposed a new head packet bound for a sibling
-        # output; let the other arbiters re-scan this cycle (deferred to
-        # avoid deep recursion chains through listener callbacks).  Never
-        # elided: a packet arriving later in this same cycle can give the
-        # re-scan real work (and conflict counts) only visible at dispatch
-        # time.  One engine call queues both events: this is the hottest
-        # scheduling site in the machine.
-        self.engine.schedule_pair(
-            delay if delay > 0 else 1, self._finish, switch.wake_all
+    def add_item_listener(self, listener: Callable[[], None]) -> None:
+        raise SimulationError(
+            f"queue {self.name} is a switch input: only its switch observes it"
         )
 
-    def _count_conflict(self, sink: BoundedWordQueue, head: Packet) -> None:
-        # Head routed here but downstream is full: wait for space.  The
-        # space waiter re-wakes this arbiter, which re-scans fairly.  Every
-        # re-scan that hits the full sink counts another conflict.
+    def push(self, packet: Packet) -> None:
+        words = packet.words
+        if words > self.capacity_words - self._used_words:
+            self._overflow(words)
+        packets = self._packets
+        packets.append(packet)
+        self._used_words += words
         if self._sanitizer is not None:
-            self._sanitizer.check_port_conflict(self, head)
-        switch = self.switch
-        counters = switch._trace_counters
-        if counters is not None:
-            slot = switch._slot_conflicts
-            if slot < 0:
-                slot = switch._slot_conflicts = counters.slot("port_conflicts")
-            counters.values[slot] += 1
-        sink.wait_for_space(self.wake)
+            self._sanitizer.queue_pushed(self, packet)
+        if len(packets) == 1:
+            route = self._route(packet)
+            self._head_route[self._index] = route
+            self._heads_for[route] += 1
+        self._wake_all()
 
-    def _finish(self) -> None:
-        packet = self._in_flight
-        sink = self._sink
-        assert packet is not None and sink is not None
-        # Space was checked before the transfer started and only this
-        # arbiter pushes into its sink slot contribution, but a merged sink
-        # queue can be shared with other switches' arbiters -- re-check.
-        if packet.words <= sink.capacity_words - sink._used_words:
-            sink.push(packet)
-            self._in_flight = None
-            self._busy = False
-            switch = self.switch
-            counters = switch._trace_counters
-            if counters is not None:
-                slot = switch._slot_packets
-                if slot < 0:
-                    slot = switch._slot_packets = counters.slot(
-                        "packets_forwarded"
-                    )
-                    switch._slot_words = counters.slot("words_forwarded")
-                values = counters.values
-                values[slot] += 1
-                values[switch._slot_words] += packet.words
-            self.wake()
-        else:
-            sink.wait_for_space(self._finish)
+    def pop(self) -> Packet:
+        packets = self._packets
+        if not packets:
+            self._underflow()
+        packet = packets.popleft()
+        self._used_words -= packet.words
+        if self._sanitizer is not None:
+            self._sanitizer.queue_popped(self, packet)
+        head_route = self._head_route
+        old_route = head_route[self._index]
+        new_route = self._route(packets[0]) if packets else None
+        if new_route != old_route:
+            head_route[self._index] = new_route
+            if old_route is not None:
+                self._heads_for[old_route] -= 1
+            if new_route is not None:
+                self._heads_for[new_route] += 1
+        if self._space_waiters:
+            self._space_waiters.popleft()()
+        return packet
 
 
 class CrossbarSwitch:
-    """A radix-N crossbar: N input queues, N output arbiters."""
+    """A radix-N crossbar: N input queues, N round-robin outputs."""
 
     def __init__(
         self,
@@ -198,6 +134,7 @@ class CrossbarSwitch:
         self.radix = radix
         self.route = route
         self.name = name
+        self.cycles_per_word = cycles_per_word
         #: Enabled trace bus or None; a single None-check per event keeps the
         #: disabled path free (this is the hottest component in the machine).
         self.trace = tracer.if_enabled() if tracer is not None else None
@@ -214,63 +151,141 @@ class CrossbarSwitch:
         self._slot_conflicts = -1
         self._slot_packets = -1
         self._slot_words = -1
-        #: Armed invariant checker or None; the arbiters prebind it.
+        #: Armed invariant checker or None.
         self._sanitizer = sanitize.current()
-        #: How many input-queue heads currently route to each output.
-        self._heads_for: List[int] = [0] * radix
-        #: Route of each input queue's head packet (None when empty).
         self._head_route: List[Optional[int]] = [None] * radix
-        self.input_queues: List[BoundedWordQueue] = [
-            BoundedWordQueue(queue_words, name=f"{name}.in[{i}]")
-            for i in range(radix)
+        self._heads_for: List[int] = [0] * radix
+        self.busy: List[bool] = [False] * radix
+        self.next_input: List[int] = [0] * radix
+        self.in_flight: List[Optional[Packet]] = [None] * radix
+        self.sink: List[Optional[BoundedWordQueue]] = [None] * radix
+        wake, finish = CrossbarSwitch.wake, CrossbarSwitch._finish
+        self._wakers = [partial(wake, self, o) for o in range(radix)]
+        self._finishers = [partial(finish, self, o) for o in range(radix)]
+        self._rotations = _rotations(radix)
+        self.input_queues: List[SwitchInputQueue] = [
+            SwitchInputQueue(self, i, queue_words) for i in range(radix)
         ]
-        self.arbiters: List[_OutputArbiter] = [
-            _OutputArbiter(engine, self, o, cycles_per_word) for o in range(radix)
-        ]
-        for index, queue in enumerate(self.input_queues):
-            queue.set_head_listener(self._make_head_listener(index, queue))
-            queue.add_item_listener(self.wake_all)
-
-    def _make_head_listener(
-        self, index: int, queue: BoundedWordQueue
-    ) -> Callable[[], None]:
-        """Closure that maintains the head-route masks for one input queue.
-
-        Fired by the queue on any head change; a closure over the mask
-        arrays (rather than a bound method taking the index) because it
-        runs once per push-into-empty and once per pop.
-        """
-        packets = queue._packets
-        route = self.route
-        head_route = self._head_route
-        heads_for = self._heads_for
-
-        def head_changed() -> None:
-            new_route = route(packets[0]) if packets else None
-            old_route = head_route[index]
-            if new_route == old_route:
-                return
-            head_route[index] = new_route
-            if old_route is not None:
-                heads_for[old_route] -= 1
-            if new_route is not None:
-                heads_for[new_route] += 1
-
-        return head_changed
 
     def wake_all(self) -> None:
-        """Give every output arbiter a chance to pick up a head packet."""
-        if self._sanitizer is not None:
-            # One pass per wake_all: the derived head-route masks must
-            # mirror the actual queue heads before any arbiter trusts them.
-            self._sanitizer.check_crossbar_masks(self)
-        for count, arbiter in zip(self._heads_for, self.arbiters):
-            if count and not arbiter._busy:
-                arbiter.wake()
+        """Round-robin first-fit scan of every idle, head-routed output."""
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            # One pass per wake_all: the head-route masks must mirror the
+            # actual queue heads before any scan trusts them.
+            sanitizer.check_crossbar_masks(self)
+        busy = self.busy
+        sinks = self.sink
+        next_input = self.next_input
+        head_route = self._head_route
+        rotations = self._rotations
+        queues = self.input_queues
+        # The list iterator and the per-output reads see live state: a
+        # grant pops an input queue, whose space waiter may re-enter here.
+        for output, heads in enumerate(self._heads_for):
+            if not heads or busy[output]:
+                continue
+            sink = sinks[output]
+            if sink is None:
+                continue
+            start = next_input[output]
+            for index in rotations[start]:
+                if head_route[index] == output:
+                    break
+            else:
+                continue
+            head = queues[index]._packets[0]
+            if head.words > sink.capacity_words - sink._used_words:
+                self._conflict(output, sink, head)
+            else:
+                self._grant(output, start, index)
 
-    def connect_output(self, output_index: int, sink: BoundedWordQueue) -> None:
-        """Wire output ``output_index`` into a downstream queue."""
-        self.arbiters[output_index].attach(sink)
+    def wake(self, output: int) -> None:
+        """Scan one output; its space waiter and end of transfer call this."""
+        sink = self.sink[output]
+        if self.busy[output] or sink is None:
+            return
+        if not self._heads_for[output]:
+            if self._sanitizer is not None:
+                # The skip is only legal if the reference scan would also
+                # have found nothing; prove it.
+                self._sanitizer.check_masked_skip(self, output)
+            return
+        head_route = self._head_route
+        start = self.next_input[output]
+        for index in self._rotations[start]:
+            if head_route[index] == output:
+                break
+        else:
+            return
+        head = self.input_queues[index]._packets[0]
+        if head.words > sink.capacity_words - sink._used_words:
+            self._conflict(output, sink, head)
+        else:
+            self._grant(output, start, index)
+
+    def _grant(self, output: int, start: int, chosen: int) -> None:
+        if self._sanitizer is not None:
+            # Before any mutation: the grant must match the shadow
+            # reference arbiter and the round-robin pointer must be fair.
+            self._sanitizer.check_arbiter_grant(self, output, start, chosen)
+        self.busy[output] = True
+        packet = self.input_queues[chosen].pop()
+        chosen += 1
+        self.next_input[output] = chosen if chosen < self.radix else 0
+        self.in_flight[output] = packet
+        delay = packet.words * self.cycles_per_word
+        # Popping may have exposed a new head packet bound for a sibling
+        # output; let the whole switch re-scan (deferred to avoid deep
+        # recursion).  Never elided: a packet arriving later in this same
+        # cycle can give the re-scan real work (and conflict counts) only
+        # visible at dispatch time.  One engine call queues both events:
+        # this is the hottest scheduling site in the machine.
+        self.engine.schedule_pair(
+            delay if delay > 0 else 1, self._finishers[output], self.wake_all
+        )
+
+    def _conflict(self, output: int, sink: BoundedWordQueue, head: Packet) -> None:
+        # Head routed here but downstream is full: wait for space.  Every
+        # re-scan that hits the full sink counts another conflict and
+        # queues the output's one prebound waiter again.
+        if self._sanitizer is not None:
+            self._sanitizer.check_port_conflict(self, output, head)
+        counters = self._trace_counters
+        if counters is not None:
+            slot = self._slot_conflicts
+            if slot < 0:
+                slot = self._slot_conflicts = counters.slot("port_conflicts")
+            counters.values[slot] += 1
+        sink._space_waiters.append(self._wakers[output])
+
+    def _finish(self, output: int) -> None:
+        packet = self.in_flight[output]
+        sink = self.sink[output]
+        # A merged sink queue can be shared with other switches' outputs,
+        # so the space checked before the transfer started may be gone.
+        if packet.words <= sink.capacity_words - sink._used_words:
+            sink.push(packet)
+            self.in_flight[output] = None
+            self.busy[output] = False
+            counters = self._trace_counters
+            if counters is not None:
+                slot = self._slot_packets
+                if slot < 0:
+                    slot = self._slot_packets = counters.slot(
+                        "packets_forwarded"
+                    )
+                    self._slot_words = counters.slot("words_forwarded")
+                values = counters.values
+                values[slot] += 1
+                values[self._slot_words] += packet.words
+            self.wake(output)
+        else:
+            sink._space_waiters.append(self._finishers[output])
+
+    def connect_output(self, output: int, sink: BoundedWordQueue) -> None:
+        """Wire ``output`` into a downstream queue."""
+        self.sink[output] = sink
 
     def occupancy_words(self) -> int:
         """Words currently buffered in this switch's input queues."""

@@ -85,6 +85,9 @@ class MemoryModule:
         self._in_service: Optional[Packet] = None
         self.requests_served = 0
         self.busy_cycles = 0
+        #: The reverse-entry space waiter, bound once: a saturated reverse
+        #: network re-queues it on every failed reply injection.
+        self._retry_waiter = self._retry_reply
         forward_queue.add_item_listener(self._wake)
 
     def _wake(self) -> None:
@@ -179,7 +182,7 @@ class MemoryModule:
             self._pending_reply = None
             self._wake()
         else:
-            self.reverse.on_entry_space(self.index, lambda: self._retry_reply())
+            self.reverse.on_entry_space(self.index, self._retry_waiter)
 
 
 class GlobalMemory:

@@ -38,7 +38,6 @@ class BoundedWordQueue:
         # push is first called on the next push -- the same semantics the
         # old copy-then-iterate list gave.
         self._item_listeners: Tuple[Notification, ...] = ()
-        self._head_listener: Optional[Notification] = None
         self._space_waiters: Deque[Notification] = deque()
         #: Armed invariant checker or None; one is-not-None test per
         #: push/pop keeps the unsanitized path pay-for-use.
@@ -66,10 +65,7 @@ class BoundedWordQueue:
         """Enqueue; the caller must have checked :meth:`can_accept`."""
         words = packet.words
         if words > self.capacity_words - self._used_words:
-            raise SimulationError(
-                f"queue {self.name or '<anonymous>'} overflow: "
-                f"{words} words into {self.free_words} free"
-            )
+            self._overflow(words)
         packets = self._packets
         packets.append(packet)
         self._used_words += words
@@ -77,8 +73,6 @@ class BoundedWordQueue:
             # Checked before listeners fire, so the sanitizer sees the
             # settled queue state rather than cascading reactions to it.
             self._sanitizer.queue_pushed(self, packet)
-        if len(packets) == 1 and self._head_listener is not None:
-            self._head_listener()
         for listener in self._item_listeners:
             listener()
 
@@ -86,15 +80,11 @@ class BoundedWordQueue:
         """Dequeue the head packet and wake one blocked upstream writer."""
         packets = self._packets
         if not packets:
-            raise SimulationError(
-                f"pop from empty queue {self.name or '<anonymous>'}"
-            )
+            self._underflow()
         packet = packets.popleft()
         self._used_words -= packet.words
         if self._sanitizer is not None:
             self._sanitizer.queue_popped(self, packet)
-        if self._head_listener is not None:
-            self._head_listener()
         if self._space_waiters:
             self._space_waiters.popleft()()
         return packet
@@ -103,22 +93,15 @@ class BoundedWordQueue:
         """Call ``listener`` after every push (permanent subscription)."""
         self._item_listeners += (listener,)
 
-    def set_head_listener(self, listener: Optional[Notification]) -> None:
-        """Call ``listener`` whenever the head packet changes.
-
-        Fires on a push into an empty queue and on every pop (the head
-        becomes the next packet, or None), *before* item listeners and
-        space waiters run -- so derived head state (the crossbar's
-        head-route masks) is consistent by the time anyone reacts.  One
-        listener per queue: only the queue's owning component may observe
-        head changes.
-        """
-        if listener is not None and self._head_listener is not None:
-            raise SimulationError(
-                f"queue {self.name or '<anonymous>'} already has a head listener"
-            )
-        self._head_listener = listener
-
     def wait_for_space(self, waiter: Notification) -> None:
         """Call ``waiter`` once, the next time words are freed."""
         self._space_waiters.append(waiter)
+
+    def _overflow(self, words: int) -> None:
+        raise SimulationError(
+            f"queue {self.name or '<anonymous>'} overflow: "
+            f"{words} words into {self.free_words} free"
+        )
+
+    def _underflow(self) -> None:
+        raise SimulationError(f"pop from empty queue {self.name or '<anonymous>'}")

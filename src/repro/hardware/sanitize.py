@@ -184,7 +184,8 @@ class Sanitizer:
         self._net_inflight: Dict[int, Dict[int, "Packet"]] = {}
         self._delivery_ports: Dict[int, Tuple["OmegaNetwork", int]] = {}
         self._queue_credit: Dict[int, List[int]] = {}  # [pushed, popped]
-        self._arbiter_prev_grant: Dict[int, int] = {}
+        #: Last grant per (switch id, output): the round-robin ledger.
+        self._arbiter_prev_grant: Dict[Tuple[int, int], int] = {}
         self._memory_modules: List[object] = []
         self._memory_ledger: Dict[int, List[int]] = {}  # [req, reply, write]
         self._sync_shadow: Dict[int, Dict[int, int]] = {}
@@ -335,69 +336,71 @@ class Sanitizer:
                 mask=list(switch._heads_for), actual=counts,
             )
 
-    def _reference_scan(self, arbiter) -> Tuple[str, Optional[int]]:
+    def _reference_scan(self, switch, output: int) -> Tuple[str, Optional[int]]:
         """Unmasked round-robin first-fit: ('grant'|'conflict'|'none', input)."""
-        switch = arbiter.switch
-        sink = arbiter._sink
+        sink = switch.sink[output]
         route = switch.route
-        start = arbiter._next_input
+        start = switch.next_input[output]
         for offset in range(switch.radix):
             index = (start + offset) % switch.radix
             head = switch.input_queues[index].head()
-            if head is None or route(head) != arbiter.output_index:
+            if head is None or route(head) != output:
                 continue
             if sink.can_accept(head):
                 return "grant", index
             return "conflict", index
         return "none", None
 
-    def check_masked_skip(self, arbiter) -> None:
+    def check_masked_skip(self, switch, output: int) -> None:
         """A wake skipped by the head mask must be a provable no-op."""
         self._count("crossbar.arbiter")
-        outcome, index = self._reference_scan(arbiter)
+        outcome, index = self._reference_scan(switch, output)
         if outcome != "none":
             self._violate(
-                "crossbar.arbiter", arbiter.switch.name or "crossbar",
-                f"masked wake of output {arbiter.output_index} skipped a "
+                "crossbar.arbiter", switch.name or "crossbar",
+                f"masked wake of output {output} skipped a "
                 f"reference {outcome} at input {index}",
-                output=arbiter.output_index, reference=outcome, input=index,
+                output=output, reference=outcome, input=index,
             )
 
-    def check_arbiter_grant(self, arbiter, start: int, chosen: int) -> None:
+    def check_arbiter_grant(
+        self, switch, output: int, start: int, chosen: int
+    ) -> None:
         """A grant must match the shadow reference arbiter and be fair."""
         self._count("crossbar.arbiter")
-        name = arbiter.switch.name or "crossbar"
-        outcome, expected = self._reference_scan(arbiter)
+        name = switch.name or "crossbar"
+        outcome, expected = self._reference_scan(switch, output)
         if outcome != "grant" or expected != chosen:
             self._violate(
                 "crossbar.arbiter", name,
-                f"output {arbiter.output_index} granted input {chosen}, "
+                f"output {output} granted input {chosen}, "
                 f"shadow arbiter says {outcome} "
                 f"{'' if expected is None else f'at input {expected}'}",
-                output=arbiter.output_index, chosen=chosen,
+                output=output, chosen=chosen,
                 reference=outcome, reference_input=expected,
             )
-        previous = self._arbiter_prev_grant.get(id(arbiter))
-        if previous is not None and start != (previous + 1) % arbiter.switch.radix:
+        key = (id(switch), output)
+        previous = self._arbiter_prev_grant.get(key)
+        if previous is not None and start != (previous + 1) % switch.radix:
             self._violate(
                 "crossbar.arbiter", name,
                 f"round-robin pointer at {start} did not advance past the "
                 f"previous grant (input {previous})",
-                output=arbiter.output_index, start=start, previous=previous,
+                output=output, start=start, previous=previous,
             )
-        self._arbiter_prev_grant[id(arbiter)] = chosen
+        self._arbiter_prev_grant[key] = chosen
 
-    def check_port_conflict(self, arbiter, head: "Packet") -> None:
+    def check_port_conflict(self, switch, output: int, head: "Packet") -> None:
         """A counted port conflict requires a genuinely full sink."""
         self._count("crossbar.arbiter")
-        sink = arbiter._sink
+        sink = switch.sink[output]
         if head.words <= sink.capacity_words - sink._used_words:
             self._violate(
-                "crossbar.arbiter", arbiter.switch.name or "crossbar",
-                f"port conflict counted on output {arbiter.output_index} but "
+                "crossbar.arbiter", switch.name or "crossbar",
+                f"port conflict counted on output {output} but "
                 f"the sink has {sink.free_words} free words for a "
                 f"{head.words}-word packet",
-                output=arbiter.output_index, head_words=head.words,
+                output=output, head_words=head.words,
                 free_words=sink.free_words,
             )
 
@@ -636,11 +639,10 @@ class Sanitizer:
                     for queue in switch.input_queues:
                         for packet in queue._packets:
                             queued[packet.packet_id] = queue.name
-                    for arbiter in switch.arbiters:
-                        packet = arbiter._in_flight
+                    for output, packet in enumerate(switch.in_flight):
                         if packet is not None:
                             queued[packet.packet_id] = (
-                                f"{switch.name}.out[{arbiter.output_index}]"
+                                f"{switch.name}.out[{output}]"
                             )
             for queue in network._delivery_queues:
                 for packet in queue._packets:

@@ -63,7 +63,7 @@ def _drill_queue_head() -> None:
         queue_words=8, name="drill.xbar",
     )
     switch.input_queues[0].push(_packet(destination=0))  # no sinks: no grant
-    switch._head_route[0] = 1  # corrupt the mask behind the listener's back
+    switch._head_route[0] = 1  # corrupt the mask behind the queue's back
     switch.wake_all()
 
 
@@ -75,10 +75,10 @@ def _drill_crossbar_arbiter() -> None:
         queue_words=8, name="drill.arb",
     )
     switch.input_queues[0].push(_packet(destination=0))
-    for arbiter in switch.arbiters:
-        arbiter.attach(BoundedWordQueue(8, name="drill.arb.sink"))
+    for output in range(switch.radix):
+        switch.connect_output(output, BoundedWordQueue(8, name="drill.arb.sink"))
     switch._heads_for[0] = 0  # lie: "no head routes to output 0"
-    switch.arbiters[0].wake()
+    switch.wake(0)
 
 
 def _drill_network_conservation() -> None:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.hardware.crossbar import CrossbarSwitch
+from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.queueing import BoundedWordQueue
 
@@ -72,41 +74,59 @@ class TestBoundedWordQueue:
             BoundedWordQueue(0)
 
 
+def switch_queue(queue_words=8):
+    """A radix-4 switch with no outputs wired, and its input queue 1."""
+    switch = CrossbarSwitch(
+        Engine(), radix=4, route=lambda p: p.destination % 4,
+        queue_words=queue_words, name="x",
+    )
+    return switch, switch.input_queues[1]
+
+
 class TestHeadListener:
+    """Head-change tracking on a crossbar input queue.
+
+    The switch's input queues keep its head-route masks inline: a push
+    into an empty queue and every pop re-derive them before the switch
+    wakes or a space waiter runs.
+    """
+
     def test_fires_on_push_into_empty_and_on_pop(self):
-        queue = BoundedWordQueue(8)
-        heads = []
-        queue.set_head_listener(lambda: heads.append(queue.head()))
+        switch, queue = switch_queue()
         first, second = packet(destination=1), packet(destination=2)
         queue.push(first)          # empty -> first
-        queue.push(second)         # head unchanged: no notification
-        assert heads == [first]
+        assert switch._head_route[1] == 1
+        assert switch._heads_for == [0, 1, 0, 0]
+        queue.push(second)         # head unchanged
+        assert switch._head_route[1] == 1
+        assert switch._heads_for == [0, 1, 0, 0]
         queue.pop()                # head becomes second
+        assert switch._head_route[1] == 2
+        assert switch._heads_for == [0, 0, 1, 0]
         queue.pop()                # head becomes None
-        assert heads == [first, second, None]
+        assert switch._head_route[1] is None
+        assert switch._heads_for == [0, 0, 0, 0]
 
     def test_fires_before_item_listeners(self):
-        queue = BoundedWordQueue(8)
-        order = []
-        queue.set_head_listener(lambda: order.append("head"))
-        queue.add_item_listener(lambda: order.append("item"))
-        queue.push(packet())
-        assert order == ["head", "item"]
+        switch, queue = switch_queue()
+        seen = []
+        # The switch-wide wake takes the place of an item listener.
+        queue._wake_all = lambda: seen.append(switch._head_route[1])
+        queue.push(packet(destination=3))
+        assert seen == [3]
 
     def test_fires_before_space_waiters(self):
-        queue = BoundedWordQueue(1)
-        order = []
-        queue.push(packet())
-        queue.set_head_listener(lambda: order.append("head"))
-        queue.wait_for_space(lambda: order.append("space"))
+        switch, queue = switch_queue(queue_words=1)
+        seen = []
+        queue.push(packet(destination=2))
+        queue.wait_for_space(lambda: seen.append(switch._head_route[1]))
         queue.pop()
-        assert order == ["head", "space"]
+        assert seen == [None]
 
     def test_second_listener_rejected(self):
-        queue = BoundedWordQueue(8)
-        queue.set_head_listener(lambda: None)
-        with pytest.raises(SimulationError, match="head listener"):
-            queue.set_head_listener(lambda: None)
+        _, queue = switch_queue()
+        with pytest.raises(SimulationError, match="only its switch"):
+            queue.add_item_listener(lambda: None)
 
     def test_listener_registered_mid_push_fires_next_push(self):
         queue = BoundedWordQueue(8)

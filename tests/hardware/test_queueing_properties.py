@@ -2,7 +2,7 @@
 
 A reference model (a plain list plus word counters) shadows the queue
 through arbitrary push/pop sequences -- including pops re-entered from
-item listeners, the way crossbar arbiters and links actually drain queues
+item listeners, the way network delivery ports actually drain queues
 -- and the sanitizer is armed throughout, so its capacity and credit
 checks run on every operation without a single false positive.
 """
@@ -13,14 +13,16 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.hardware import sanitize
+from repro.hardware.crossbar import CrossbarSwitch
+from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.queueing import BoundedWordQueue
 
 
-def _packet(words: int) -> Packet:
+def _packet(words: int, destination: int = 0) -> Packet:
     return Packet(
-        kind=PacketKind.READ_REQUEST, source=0, destination=0, address=0,
-        words=words,
+        kind=PacketKind.READ_REQUEST, source=0, destination=destination,
+        address=0, words=words,
     )
 
 
@@ -94,24 +96,27 @@ class TestRandomInterleavings:
     @settings(max_examples=40, deadline=None)
     @given(sequence=ops)
     def test_head_listener_fires_on_every_head_change(self, sequence):
-        """The head listener contract the crossbar masks are built on:
-        fire on push-into-empty and on every pop, never otherwise."""
-        queue = BoundedWordQueue(8, name="heads")
-        observed = []
-        queue.set_head_listener(lambda: observed.append(queue.head()))
-        expected = []
+        """The contract the crossbar masks are built on: after every push
+        and pop, a switch input queue's head-route mask names the route
+        of its actual head and the per-output counts agree."""
+        switch = CrossbarSwitch(
+            Engine(), radix=4, route=lambda p: p.destination % 4,
+            queue_words=8, name="heads",
+        )
+        queue = switch.input_queues[2]
         model = []
         for op, words in sequence:
             if op == "push":
-                packet = _packet(words)
+                # Vary the route with the size so head changes are visible.
+                packet = _packet(words, destination=words - 1)
                 if queue.can_accept(packet):
-                    was_empty = not model
                     queue.push(packet)
                     model.append(packet)
-                    if was_empty:
-                        expected.append(packet)
             elif model:
                 queue.pop()
                 model.pop(0)
-                expected.append(model[0] if model else None)
-        assert observed == expected
+            expected = model[0].destination if model else None
+            assert switch._head_route == [None, None, expected, None]
+            assert switch._heads_for == [
+                int(expected == output) for output in range(4)
+            ]

@@ -1,19 +1,21 @@
 """Fast paths and parallel execution must not change a single result.
 
-The perf layer makes three claims (see DESIGN.md "Idle fast-forward"):
+The perf layer makes four claims (see DESIGN.md "Idle fast-forward"):
 
 * the engine's calendar queue produces the event stream of the
   one-at-a-time heap loop kept in ``tests/hardware/reference_engine.py``,
   including ``events_dispatched``;
+* the flat crossbar switch produces the event stream of the per-output
+  arbiter objects kept in ``tests/hardware/reference_crossbar.py``;
 * the crossbar's head-route masks only skip wakes that could find no
   work: the production side runs sanitized, so every masked skip and
   every grant is proven against the sanitizer's unmasked reference scan;
 * ``--jobs N`` only changes which process runs an experiment, never what
   the experiment computes.
 
-These tests pin all three by running real cycle-level kernels on both
-engines and comparing everything that is visible: monitor histograms, the
-full machine metrics registry, and engine dispatch counts.
+These tests pin them by running real cycle-level kernels on both sides
+and comparing everything that is visible: monitor histograms, the full
+machine metrics registry, and engine dispatch counts.
 """
 
 import multiprocessing
@@ -32,6 +34,7 @@ from repro.metrics.bench import build_snapshot
 from repro.metrics.collector import MonitorCatcher, collect_tracer
 from repro.metrics.registry import MetricsRegistry
 from repro.trace import Tracer, tracing
+from tests.hardware.reference_crossbar import ReferenceCrossbarSwitch
 from tests.hardware.reference_engine import ReferenceEngine
 
 
@@ -60,13 +63,16 @@ def _sanitized_traced_run(kernel):
     return outputs
 
 
-@pytest.mark.parametrize(
+_KERNELS = pytest.mark.parametrize(
     "kernel",
     [
         pytest.param(lambda: measure_vector_load(8), id="vector-load-8"),
         pytest.param(lambda: measure_tridiag(8), id="tridiag-8"),
     ],
 )
+
+
+@_KERNELS
 def test_engine_matches_reference_byte_identical(kernel, monkeypatch):
     """Calendar queue (sanitized) vs the reference heap loop."""
     fast = _sanitized_traced_run(kernel)
@@ -79,7 +85,22 @@ def test_engine_matches_reference_byte_identical(kernel, monkeypatch):
     assert fast[3] is not None and fast[3] > 0
 
 
-def test_fastpath_snapshot_matches_its_own_rerun():
+@_KERNELS
+def test_crossbar_matches_reference_byte_identical(kernel, monkeypatch):
+    """Flat per-switch crossbar (sanitized) vs per-output arbiter objects."""
+    flat = _sanitized_traced_run(kernel)
+    monkeypatch.setattr(
+        "repro.hardware.network.CrossbarSwitch", ReferenceCrossbarSwitch
+    )
+    reference = _traced_run(kernel)
+    assert flat[0] == reference[0]     # rendered kernel result
+    assert flat[1] == reference[1]     # full machine registry, exact
+    assert flat[2] == reference[2]     # performance-monitor histograms
+    assert flat[3] == reference[3]     # engine.events_dispatched
+    assert flat[3] is not None and flat[3] > 0
+
+
+def test_production_snapshot_matches_its_own_rerun():
     """Production runs are themselves deterministic across repeats."""
     first = _traced_run(lambda: measure_vector_load(8))
     second = _traced_run(lambda: measure_vector_load(8))
@@ -105,7 +126,9 @@ def _fuzz_network_run(seed, engine_class=Engine):
 
     Runs with the sanitizer armed (its checks must neither perturb the
     simulation nor fire) and returns every observable: the exact delivery
-    stream (port, packet id, cycle), the dispatch count, and occupancy.
+    stream (port, packet id, cycle), the dispatch count, and occupancy,
+    followed by the number of crossbar checks the sanitizer ran (zero on
+    the reference crossbar, which does not report to it).
     """
     rng = random.Random(seed)
     flows = [
@@ -153,9 +176,13 @@ def _fuzz_network_run(seed, engine_class=Engine):
         engine.run_until_idle()
     sanitizer.finalize()
     assert sanitizer.violations == 0
-    assert sanitizer.checks.get("crossbar.arbiter", 0) > 0
     assert len(deliveries) == len(flows)
-    return tuple(deliveries), engine.events_dispatched, network.occupancy_words()
+    return (
+        tuple(deliveries),
+        engine.events_dispatched,
+        network.occupancy_words(),
+        sanitizer.checks.get("crossbar.arbiter", 0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +277,23 @@ def test_registry_unit_decompositions_cover_run(key):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1993])
-def test_fuzzed_network_matches_reference_engine(seed):
-    """Differential fuzz, sanitizer armed in both runs: calendar queue vs
-    the reference heap loop.
+def test_fuzzed_network_matches_reference_engine(seed, monkeypatch):
+    """Differential fuzz, sanitizer armed in every run: calendar queue vs
+    the reference heap loop, and flat crossbar vs the reference crossbar.
 
-    Under arbitrary contention the calendar queue must be invisible
-    (byte-identical delivery streams, identical ``events_dispatched``),
-    and every masked crossbar skip and grant must pass the sanitizer's
-    unmasked reference scan.
+    Under arbitrary contention the calendar queue and the flat switch must
+    be invisible (byte-identical delivery streams, identical
+    ``events_dispatched``), and every masked crossbar skip and grant must
+    pass the sanitizer's unmasked reference scan.
     """
     fast = _fuzz_network_run(seed)
+    assert fast[3] > 0  # the flat switch reported every scan
     reference = _fuzz_network_run(seed, ReferenceEngine)
     assert fast[0] == reference[0]  # (port, packet_id, cycle) stream
     assert fast[1] == reference[1]  # events_dispatched
     assert fast[2] == reference[2] == 0  # network fully drained
+    monkeypatch.setattr(
+        "repro.hardware.network.CrossbarSwitch", ReferenceCrossbarSwitch
+    )
+    oracle = _fuzz_network_run(seed)
+    assert fast[:3] == oracle[:3]
