@@ -100,8 +100,6 @@ def _run_units(
     trace_counts = dict.fromkeys(
         ("records", "records_seen", "dropped", "buffer_bytes"), 0
     )
-    overhead_seconds = 0.0
-    per_record_ns = 0.0
     for unit in units:
         if unit == WHOLE_UNIT:
             run_one = experiment.run
@@ -112,7 +110,6 @@ def _run_units(
             tracer = Tracer(enabled=True)
         elif instrumented:
             tracer = Tracer(enabled=True, max_records=TELEMETRY_RECORDS)
-        began = time.perf_counter()
         with tracing(tracer) if tracer is not None else nullcontext():
             if sanitized:
                 with sanitizing() as sanitizer:
@@ -121,7 +118,6 @@ def _run_units(
                 summaries[unit] = sanitizer.summary()
             else:
                 result = run_one()
-        wall = time.perf_counter() - began
         results[unit] = result
         if tracer is None:
             continue
@@ -131,23 +127,16 @@ def _run_units(
         )
         if traced:
             traces[unit] = tracer.snapshot().to_bytes()
-            overhead = tracer.overhead_estimate(wall)
             trace_counts["records"] += tracer.num_records
             trace_counts["records_seen"] += tracer.records_seen
             trace_counts["dropped"] += tracer.dropped
             trace_counts["buffer_bytes"] += tracer.buffer_bytes
-            overhead_seconds += overhead["overhead_seconds"]
-            per_record_ns = overhead["per_record_ns"]
     return {
         "results": results,
         "sanitizers": summaries,
         "traces": traces,
         "events": events,
         "trace_counts": trace_counts,
-        "overhead": {
-            "overhead_seconds": overhead_seconds,
-            "per_record_ns": per_record_ns,
-        },
     }
 
 
@@ -355,21 +344,10 @@ def run_partitioned(
             for unit in units:
                 merger.add(unit_traces[unit])
             trace_bytes = merger.merge().to_bytes()
-        # Sum in partition order: float addition is not associative, so
-        # an arrival-order sum would wobble in the last bits run to run.
         trace_meta = {
             name: sum(outputs[p]["trace_counts"][name] for p in sorted(outputs))
             for name in ("records", "records_seen", "dropped", "buffer_bytes")
         }
-        overhead_seconds = sum(
-            outputs[p]["overhead"]["overhead_seconds"] for p in sorted(outputs)
-        )
-        trace_meta["overhead_ratio"] = (
-            overhead_seconds / total_wall if total_wall > 0 else 0.0
-        )
-        trace_meta["overhead_per_record_ns"] = max(
-            output["overhead"]["per_record_ns"] for output in outputs.values()
-        )
 
     profile_stats: Optional[Dict[Tuple, Tuple]] = None
     if profiled:

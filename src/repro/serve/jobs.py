@@ -68,6 +68,10 @@ class Job:
         #: cache hits, which never ran a simulation).
         self.trace: Optional[bytes] = None
         self.trace_meta: Optional[Dict[str, object]] = None
+        #: Server-loop ``perf_counter`` stamp of entering the queue, and
+        #: the measured phases of the computation (cache misses only).
+        self.queued_at: Optional[float] = None
+        self.phases_ms: Optional[Dict[str, float]] = None
         self.events: List[Dict[str, object]] = []
         self.created = time.monotonic()
         self.finished_at: Optional[float] = None
@@ -140,6 +144,8 @@ class Job:
             document["latency_ms"] = round(self.latency_ms, 3)
         if self.trace_meta is not None:
             document["trace"] = dict(self.trace_meta)
+        if self.phases_ms is not None:
+            document["phases_ms"] = dict(self.phases_ms)
         return document
 
 
@@ -186,6 +192,10 @@ class JobRegistry:
         self._trace_gauge = metrics.gauge(
             "serve_trace_buffer_bytes",
             help="columnar trace-buffer bytes held across resolved jobs",
+        )
+        self._cache_write_errors = metrics.counter(
+            "serve_cache_write_errors_total",
+            help="computed results the cache failed to store (still served)",
         )
         #: Telemetry of the most recently computed job (``/healthz``).
         self.last_trace_meta: Optional[Dict[str, object]] = None
@@ -268,6 +278,7 @@ class JobRegistry:
                 f"job queue full ({self._queue.maxsize} queued); retry later",
                 status=503,
             ) from None
+        job.queued_at = time.perf_counter()
         self._coalescer.lead(job.cache_key, job.id)
         self._register(job)
         self._depth_gauge.set(self._queue.qsize())
@@ -295,25 +306,45 @@ class JobRegistry:
         while True:
             job = await self._queue.get()
             self._depth_gauge.set(self._queue.qsize())
+            assert job.queued_at is not None  # only _submit_one enqueues
+            self._phase(job, "queue_wait", job.queued_at)
+            running = time.perf_counter()
             job.mark_running()
+            failure: Optional[Dict[str, object]] = None
             try:
                 outcome = await self._execute(job, job.post)
             except WorkerCrashError as crash:
-                self._settle_failure(job, {
+                failure = {
                     "message": str(crash),
                     "experiment": crash.experiment,
                     "exitcode": crash.exitcode,
                     "traceback": crash.worker_traceback,
-                })
+                }
             except asyncio.CancelledError:
                 raise
             except Exception as error:  # defensive: never kill the worker loop
-                self._settle_failure(job, {
+                failure = {
                     "message": repr(error),
                     "experiment": job.experiment,
-                })
+                }
+            self._phase(job, "worker", running)
+            if failure is not None:
+                self._settle_failure(job, failure)
             else:
                 self._settle_success(job, *self._unpack(outcome))
+
+    def _phase(self, job: Job, name: str, began: float) -> None:
+        """Record one phase of a computed job, timed on the server loop
+        from ``began`` to now (job document and ``/metrics`` only, never
+        the cached result bytes)."""
+        elapsed_ms = (time.perf_counter() - began) * 1000.0
+        if job.phases_ms is None:
+            job.phases_ms = {}
+        job.phases_ms[name] = round(elapsed_ms, 3)
+        self.metrics.histogram(
+            "serve_job_phase_ms", {"phase": name},
+            help="time a computed job spent per phase, milliseconds",
+        ).observe(elapsed_ms)
 
     @staticmethod
     def _unpack(outcome: object):
@@ -334,7 +365,14 @@ class JobRegistry:
         trace: Optional[bytes] = None,
         trace_meta: Optional[Dict[str, object]] = None,
     ) -> None:
-        self.cache.put(job.cache_key, body)
+        writing = time.perf_counter()
+        try:
+            self.cache.put(job.cache_key, body)
+        except OSError:
+            # Serve the bytes in hand; a lost store costs a later
+            # recompute, never this job or its followers.
+            self._cache_write_errors.inc()
+        self._phase(job, "cache_write", writing)
         followers = self._coalescer.settle(job.cache_key)
         if trace is not None:
             job.trace = trace

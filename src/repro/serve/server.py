@@ -178,7 +178,6 @@ class JobServer:
             }
             meta = self.registry.last_trace_meta
             if meta is not None:
-                document["trace_overhead_ratio"] = meta.get("overhead_ratio")
                 document["trace_buffer_bytes"] = meta.get("buffer_bytes")
             await self._send_json(writer, 200, document)
             return

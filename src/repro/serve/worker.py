@@ -4,9 +4,9 @@
 spawns per job.  It applies the job's config (machine spec, partition
 count, sanitizer arming), runs the experiment with a progress-forwarding
 tracer on the ambient trace bus, and returns the canonical result document bytes
-plus the job's columnar trace buffer and its telemetry (buffer bytes,
-instrumentation overhead) for the server's gauges, ``/healthz``, and the
-``GET /jobs/<id>/trace`` endpoint.
+plus the job's columnar trace buffer and its measured or counted
+telemetry (records, buffer bytes, wall time) for the server's gauges,
+``/healthz``, and the ``GET /jobs/<id>/trace`` endpoint.
 
 Progress comes off the trace bus, not a wall clock: every machine the
 experiment driver builds attaches to the ambient tracer, and
@@ -141,10 +141,10 @@ def build_record(
     The record is the ``run --json`` shape plus the job's canonical config
     and the code-version fingerprint, so a cached document is
     self-describing: it names the experiment, the exact knobs, and the
-    code that produced it.  Telemetry that varies run to run (wall time,
-    overhead ratio) stays *out* of the record -- cached result bytes must
-    be a pure function of (experiment, config, code version) -- and is
-    returned separately by :func:`execute_job`.
+    code that produced it.  Telemetry that varies run to run (wall time)
+    stays *out* of the record -- cached result bytes must be a pure
+    function of (experiment, config, code version) -- and is returned
+    separately by :func:`execute_job`.
     """
     from repro.experiments.registry import get_experiment
     from repro.partition import run_partitioned
@@ -219,7 +219,9 @@ def execute_job(payload: Dict[str, object], emit: Emit) -> Dict[str, object]:
     Returns ``{"result": canonical document bytes, "trace": columnar
     snapshot wire bytes, "trace_meta": telemetry dict}``.  Only ``result``
     is cached/byte-stable; the trace buffer and telemetry describe this
-    particular execution.
+    particular execution.  The telemetry holds only counted or measured
+    fields: the tracer's calibrated cost estimate would cost a fresh
+    worker process more than the job itself.
     """
     tracer = ProgressTracer(emit)
     began = time.perf_counter()
@@ -227,15 +229,12 @@ def execute_job(payload: Dict[str, object], emit: Emit) -> Dict[str, object]:
         str(payload["experiment"]), dict(payload["config"]), emit, tracer=tracer
     )
     wall_seconds = time.perf_counter() - began
-    overhead = tracer.overhead_estimate(wall_seconds)
     trace_meta: Dict[str, object] = {
         "records_seen": tracer.records_seen,
         "records_retained": tracer.num_records,
         "records_dropped": tracer.dropped,
         "buffer_bytes": tracer.buffer_bytes,
         "wall_seconds": wall_seconds,
-        "overhead_ratio": overhead["ratio"],
-        "overhead_per_record_ns": overhead["per_record_ns"],
     }
     return {
         "result": canonical_bytes(record),

@@ -63,7 +63,8 @@ class TestExecuteJob:
         assert meta["records_seen"] == snap.records_seen > 0
         assert meta["records_retained"] == snap.num_records
         assert meta["wall_seconds"] > 0
-        assert meta["overhead_ratio"] >= 0
+        assert "overhead_ratio" not in meta
+        assert "overhead_per_record_ns" not in meta
         types = [e["type"] for e in events]
         assert types[0] == "running" and types[-1] == "finished"
 
@@ -75,6 +76,37 @@ class TestExecuteJob:
         assert first["result"] == second["result"]
         assert b"overhead" not in first["result"]
         assert b"wall_seconds" not in first["result"]
+
+
+class TestNoCalibration:
+    """Neither serve jobs nor traced runs calibrate the tracer's cost."""
+
+    @staticmethod
+    def _forbid_calibration(monkeypatch):
+        from repro.trace import tracer as tracer_module
+
+        def calibrate(store_class):
+            raise AssertionError("the tracer cost calibration ran")
+
+        monkeypatch.setattr(tracer_module, "_per_record_cost", calibrate)
+
+    def test_execute_job_never_calibrates(self, monkeypatch):
+        self._forbid_calibration(monkeypatch)
+        outcome = worker.execute_job(
+            {"experiment": "table6", "config": {}}, lambda data: None
+        )
+        assert outcome["trace_meta"]["records_seen"] > 0
+
+    def test_traced_partitioned_run_never_calibrates(self, monkeypatch):
+        from repro.partition import run_partitioned
+
+        _fork_only()  # the shard children inherit the patched module
+        self._forbid_calibration(monkeypatch)
+        run = run_partitioned("table6", 2, traced=True)
+        assert run.trace_bytes
+        assert set(run.trace_meta) == {
+            "records", "records_seen", "dropped", "buffer_bytes",
+        }
 
 
 class TestPartitionedJob:

@@ -187,8 +187,7 @@ class TestRunTraceOut:
         trace = entry["trace"]
         assert trace["records_seen"] > 0
         assert trace["dropped"] == 0
-        assert trace["overhead_ratio"] >= 0
-        assert trace["overhead_per_record_ns"] > 0
+        assert not [key for key in trace if key.startswith("overhead_")]
 
     def test_jobs_n_merged_trace_is_byte_identical(
         self, monkeypatch, tmp_path
