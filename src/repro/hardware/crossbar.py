@@ -12,47 +12,50 @@ input queue (doubling its capacity) so that a hop costs one arbitration
 rather than two; the total buffering per port pair and the back-pressure
 behaviour are preserved.
 
-State layout: the switch owns all of its arbitration state as flat lists.
-Per output: ``busy``, the round-robin pointer ``next_input``, the packet
-``in_flight`` and the downstream ``sink``.  Per input: ``_head_route``, the
-route of the queue's head packet (None when empty); and per output again,
-``_heads_for``, how many heads route there.  The input queues are
-:class:`SwitchInputQueue`, whose push and pop keep those masks current
+State layout: the switch owns all of its arbitration state as flat lists
+and bitmasks.  Per output: the round-robin pointer ``next_input``, the
+packet ``in_flight`` and the downstream ``sink``.  Per input:
+``_head_route``, the route of the queue's head packet (None when empty).
+Per output again, ``_inputs_for[o]`` is a bitmask of the inputs whose head
+routes to ``o``.  Two switch-wide output masks summarise the rest:
+``_headed`` (some head routes here) and ``_idle`` (the output is wired and
+not transferring).  Routes come from ``route_table``, a destination ->
+output-port list the network builds once per stage.  The input queues are
+:class:`SwitchInputQueue`, whose push and pop keep the masks current
 inline and then call the switch directly.  The space waiter that re-scans
 an output and the completion that ends its transfer are bound once per
 output at construction, so a port conflict queues a reference instead of
 allocating a callable.
 
-Wake masks: a scan of an output with no head routed to it would find
-nothing, count nothing and register nothing, so such wakes return in
-O(1).  Scans that *can* see a candidate run the full round-robin first-fit,
-including re-scans that re-count a port conflict and queue another space
-waiter.  The sanitizer's unmasked reference scan proves every skip and
-every grant (``crossbar.arbiter``, ``queue.head``).  The deferred post-grant
-re-scan of the whole switch is always scheduled: whether it finds work is
-only known at dispatch time, after same-cycle arrivals.
+Arbitration: the round-robin winner of output ``o`` with pointer ``start``
+is the lowest set bit of ``inputs >> start << start or inputs`` -- the
+first head-routed input at or after the pointer, else the first one
+before it.
+
+Wake masks: a switch-wide scan visits only the outputs in
+``_headed & _idle``, in ascending order.  A grant pops an input queue, and
+a stage-0 queue's space waiter can inject into this very switch before the
+pop returns, so the scan re-reads the masks after every grant; a port
+conflict changes no switch state, so after one it keeps its snapshot.
+With the sanitizer off, a push that leaves ``_headed & _idle`` empty and
+an end of transfer with no head routed to its output skip the scan
+outright.  With it armed every scan runs, and the unmasked reference scan
+proves every skip and every grant (``crossbar.arbiter``, ``queue.head``).
+The deferred post-grant re-scan of the whole switch is always scheduled:
+whether it finds work is only known at dispatch time, after same-cycle
+arrivals.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet
 from repro.hardware.queueing import BoundedWordQueue
-
-RouteFunction = Callable[[Packet], int]
-
-
-@lru_cache(maxsize=None)
-def _rotations(radix: int) -> Tuple[Tuple[int, ...], ...]:
-    """Scan order of the inputs for each round-robin pointer position."""
-    return tuple(
-        tuple(range(start, radix)) + tuple(range(start)) for start in range(radix)
-    )
 
 
 class SwitchInputQueue(BoundedWordQueue):
@@ -68,9 +71,11 @@ class SwitchInputQueue(BoundedWordQueue):
     ) -> None:
         super().__init__(capacity_words, name=f"{switch.name}.in[{index}]")
         self._index = index
-        self._route = switch.route
+        self._bit = 1 << index
+        self._switch = switch
+        self._route_table = switch.route_table
         self._head_route = switch._head_route
-        self._heads_for = switch._heads_for
+        self._inputs_for = switch._inputs_for
         self._wake_all = switch.wake_all
 
     def add_item_listener(self, listener: Callable[[], None]) -> None:
@@ -87,11 +92,16 @@ class SwitchInputQueue(BoundedWordQueue):
         self._used_words += words
         if self._sanitizer is not None:
             self._sanitizer.queue_pushed(self, packet)
+        switch = self._switch
         if len(packets) == 1:
-            route = self._route(packet)
+            route = self._route_table[packet.destination]
             self._head_route[self._index] = route
-            self._heads_for[route] += 1
-        self._wake_all()
+            self._inputs_for[route] |= self._bit
+            switch._headed |= 1 << route
+        # No headed idle output: the scan could find nothing.  Armed, the
+        # sanitizer still sees every scan, so its check counts never move.
+        if switch._headed & switch._idle or self._sanitizer is not None:
+            self._wake_all()
 
     def pop(self) -> Packet:
         packets = self._packets
@@ -103,13 +113,19 @@ class SwitchInputQueue(BoundedWordQueue):
             self._sanitizer.queue_popped(self, packet)
         head_route = self._head_route
         old_route = head_route[self._index]
-        new_route = self._route(packets[0]) if packets else None
+        new_route = self._route_table[packets[0].destination] if packets else None
         if new_route != old_route:
             head_route[self._index] = new_route
+            inputs_for = self._inputs_for
+            switch = self._switch
             if old_route is not None:
-                self._heads_for[old_route] -= 1
+                inputs = inputs_for[old_route] & ~self._bit
+                inputs_for[old_route] = inputs
+                if not inputs:
+                    switch._headed &= ~(1 << old_route)
             if new_route is not None:
-                self._heads_for[new_route] += 1
+                inputs_for[new_route] |= self._bit
+                switch._headed |= 1 << new_route
         if self._space_waiters:
             self._space_waiters.popleft()()
         return packet
@@ -122,7 +138,7 @@ class CrossbarSwitch:
         self,
         engine: Engine,
         radix: int,
-        route: RouteFunction,
+        route_table: Sequence[int],
         queue_words: int,
         cycles_per_word: int = 1,
         name: str = "",
@@ -132,7 +148,8 @@ class CrossbarSwitch:
             raise ValueError(f"crossbar radix must be >= 2, got {radix}")
         self.engine = engine
         self.radix = radix
-        self.route = route
+        #: Output port of each packet destination (indexed by destination).
+        self.route_table = route_table
         self.name = name
         self.cycles_per_word = cycles_per_word
         #: Enabled trace bus or None; a single None-check per event keeps the
@@ -154,15 +171,15 @@ class CrossbarSwitch:
         #: Armed invariant checker or None.
         self._sanitizer = sanitize.current()
         self._head_route: List[Optional[int]] = [None] * radix
-        self._heads_for: List[int] = [0] * radix
-        self.busy: List[bool] = [False] * radix
+        self._inputs_for: List[int] = [0] * radix
+        self._headed = 0
+        self._idle = 0
         self.next_input: List[int] = [0] * radix
         self.in_flight: List[Optional[Packet]] = [None] * radix
         self.sink: List[Optional[BoundedWordQueue]] = [None] * radix
         wake, finish = CrossbarSwitch.wake, CrossbarSwitch._finish
         self._wakers = [partial(wake, self, o) for o in range(radix)]
         self._finishers = [partial(finish, self, o) for o in range(radix)]
-        self._rotations = _rotations(radix)
         self.input_queues: List[SwitchInputQueue] = [
             SwitchInputQueue(self, i, queue_words) for i in range(radix)
         ]
@@ -171,69 +188,61 @@ class CrossbarSwitch:
         """Round-robin first-fit scan of every idle, head-routed output."""
         sanitizer = self._sanitizer
         if sanitizer is not None:
-            # One pass per wake_all: the head-route masks must mirror the
-            # actual queue heads before any scan trusts them.
+            # One pass per wake_all: the masks must mirror the actual queue
+            # heads, sinks and transfers before any scan trusts them.
             sanitizer.check_crossbar_masks(self)
-        busy = self.busy
-        sinks = self.sink
-        next_input = self.next_input
-        head_route = self._head_route
-        rotations = self._rotations
-        queues = self.input_queues
-        # The list iterator and the per-output reads see live state: a
-        # grant pops an input queue, whose space waiter may re-enter here.
-        for output, heads in enumerate(self._heads_for):
-            if not heads or busy[output]:
-                continue
-            sink = sinks[output]
-            if sink is None:
-                continue
-            start = next_input[output]
-            for index in rotations[start]:
-                if head_route[index] == output:
-                    break
-            else:
-                continue
-            head = queues[index]._packets[0]
+        ready = self._headed & self._idle
+        while ready:
+            low = ready & -ready
+            output = low.bit_length() - 1
+            inputs = self._inputs_for[output]
+            start = self.next_input[output]
+            pick = inputs >> start << start or inputs
+            index = (pick & -pick).bit_length() - 1
+            head = self.input_queues[index]._packets[0]
+            sink = self.sink[output]
             if head.words > sink.capacity_words - sink._used_words:
                 self._conflict(output, sink, head)
+                ready ^= low
             else:
-                self._grant(output, start, index)
+                self._grant(output, start, index, head)
+                # The grant's pop may have re-entered this switch: re-read
+                # the masks, keeping only the outputs above this one.
+                ready = self._headed & self._idle & -(low << 1)
 
     def wake(self, output: int) -> None:
         """Scan one output; its space waiter and end of transfer call this."""
-        sink = self.sink[output]
-        if self.busy[output] or sink is None:
+        if not self._idle >> output & 1:
             return
-        if not self._heads_for[output]:
+        inputs = self._inputs_for[output]
+        if not inputs:
             if self._sanitizer is not None:
                 # The skip is only legal if the reference scan would also
                 # have found nothing; prove it.
                 self._sanitizer.check_masked_skip(self, output)
             return
-        head_route = self._head_route
         start = self.next_input[output]
-        for index in self._rotations[start]:
-            if head_route[index] == output:
-                break
-        else:
-            return
+        pick = inputs >> start << start or inputs
+        index = (pick & -pick).bit_length() - 1
         head = self.input_queues[index]._packets[0]
+        sink = self.sink[output]
         if head.words > sink.capacity_words - sink._used_words:
             self._conflict(output, sink, head)
         else:
-            self._grant(output, start, index)
+            self._grant(output, start, index, head)
 
-    def _grant(self, output: int, start: int, chosen: int) -> None:
+    def _grant(self, output: int, start: int, chosen: int, packet: Packet) -> None:
         if self._sanitizer is not None:
             # Before any mutation: the grant must match the shadow
             # reference arbiter and the round-robin pointer must be fair.
             self._sanitizer.check_arbiter_grant(self, output, start, chosen)
-        self.busy[output] = True
-        packet = self.input_queues[chosen].pop()
+        # The output turns busy with its packet on the wire before the pop,
+        # whose space waiter may re-enter (and re-check) this switch.
+        self._idle &= ~(1 << output)
+        self.in_flight[output] = packet
+        self.input_queues[chosen].pop()
         chosen += 1
         self.next_input[output] = chosen if chosen < self.radix else 0
-        self.in_flight[output] = packet
         delay = packet.words * self.cycles_per_word
         # Popping may have exposed a new head packet bound for a sibling
         # output; let the whole switch re-scan (deferred to avoid deep
@@ -260,32 +269,28 @@ class CrossbarSwitch:
         sink._space_waiters.append(self._wakers[output])
 
     def _finish(self, output: int) -> None:
+        # The space was checked at the grant and this output is the sink's
+        # only writer, so the push cannot overflow.
         packet = self.in_flight[output]
-        sink = self.sink[output]
-        # A merged sink queue can be shared with other switches' outputs,
-        # so the space checked before the transfer started may be gone.
-        if packet.words <= sink.capacity_words - sink._used_words:
-            sink.push(packet)
-            self.in_flight[output] = None
-            self.busy[output] = False
-            counters = self._trace_counters
-            if counters is not None:
-                slot = self._slot_packets
-                if slot < 0:
-                    slot = self._slot_packets = counters.slot(
-                        "packets_forwarded"
-                    )
-                    self._slot_words = counters.slot("words_forwarded")
-                values = counters.values
-                values[slot] += 1
-                values[self._slot_words] += packet.words
+        self.sink[output].push(packet)
+        self.in_flight[output] = None
+        self._idle |= 1 << output
+        counters = self._trace_counters
+        if counters is not None:
+            slot = self._slot_packets
+            if slot < 0:
+                slot = self._slot_packets = counters.slot("packets_forwarded")
+                self._slot_words = counters.slot("words_forwarded")
+            values = counters.values
+            values[slot] += 1
+            values[self._slot_words] += packet.words
+        if self._inputs_for[output] or self._sanitizer is not None:
             self.wake(output)
-        else:
-            sink._space_waiters.append(self._finishers[output])
 
     def connect_output(self, output: int, sink: BoundedWordQueue) -> None:
         """Wire ``output`` into a downstream queue."""
         self.sink[output] = sink
+        self._idle |= 1 << output
 
     def occupancy_words(self) -> int:
         """Words currently buffered in this switch's input queues."""

@@ -18,7 +18,7 @@ network Cedar used.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.config import NetworkConfig, network_stages_for
 from repro.errors import ConfigurationError
@@ -92,12 +92,19 @@ class OmegaNetwork:
         queue_words = 2 * self.config.port_queue_words
         self.stages: List[List[CrossbarSwitch]] = []
         for stage in range(stages):
+            # Destination-tag routing: a stage-s switch forwards on digit
+            # S-1-s of the destination.  One table per stage, shared by its
+            # switches, replaces a closure call per route lookup.
             digit_position = stages - 1 - stage
+            route_table = tuple(
+                _digit(line, digit_position, radix)
+                for line in range(self.num_lines)
+            )
             row = [
                 CrossbarSwitch(
                     engine=self.engine,
                     radix=radix,
-                    route=self._router(digit_position),
+                    route_table=route_table,
                     queue_words=queue_words,
                     cycles_per_word=self.config.stage_latency_cycles,
                     name=f"{self.name}.s{stage}.x{sw}",
@@ -131,17 +138,6 @@ class OmegaNetwork:
         for line in range(self.num_lines):
             sw, index = self._switch_for(0, line)
             self._entry_queues.append(self.stages[0][sw].input_queues[index])
-
-    def _router(self, digit_position: int) -> Callable[[Packet], int]:
-        # route() runs once per packet per arbitration scan -- one of the
-        # hottest closures in the simulator -- so hoist the power out.
-        radix = self.radix
-        base = radix**digit_position
-
-        def route(packet: Packet) -> int:
-            return (packet.destination // base) % radix
-
-        return route
 
     def _switch_for(self, stage: int, line: int) -> "tuple[int, int]":
         """(switch index, port index) of ``line`` at ``stage``.

@@ -20,8 +20,11 @@ Checked invariant classes (see DESIGN.md for the paper justification):
 * ``flow_control.credit`` -- per queue, words pushed minus words popped
   equals words buffered (credits are conserved; Section 2, "flow control
   between stages prevents queue overflow").
-* ``queue.head`` -- the crossbar's derived head-route masks agree with the
-  actual queue heads (the wake-mask bookkeeping is consistent).
+* ``queue.head`` -- the crossbar's derived masks agree with its raw state:
+  per-input head routes and per-output input masks with the actual queue
+  heads, the ``_headed``/``_idle`` output masks with those heads, the
+  sinks and the packets in flight (the wake-mask bookkeeping is
+  consistent).
 * ``crossbar.arbiter`` -- every grant matches a shadow reference arbiter
   (unmasked round-robin first-fit), masked wake skips are provably no-ops,
   the round-robin pointer always advances past the last grant, and port
@@ -313,38 +316,59 @@ class Sanitizer:
     # -- crossbars (masks + shadow arbiter) --------------------------------
 
     def check_crossbar_masks(self, switch) -> None:
-        """The head-route masks must mirror the actual queue heads."""
+        """The head-route and output masks must mirror the raw switch state.
+
+        ``_head_route`` and ``_inputs_for`` are re-derived from the actual
+        queue heads, ``_headed`` from those, and ``_idle`` from the sinks
+        and the packets on the wire.
+        """
         self._count("queue.head")
-        route = switch.route
-        counts = [0] * switch.radix
+        name = switch.name or "crossbar"
+        table = switch.route_table
+        inputs_for = [0] * switch.radix
         for index, queue in enumerate(switch.input_queues):
             head = queue.head()
-            expected = route(head) if head is not None else None
+            expected = table[head.destination] if head is not None else None
             if switch._head_route[index] != expected:
                 self._violate(
-                    "queue.head", switch.name or "crossbar",
+                    "queue.head", name,
                     f"head-route mask of input {index} says "
                     f"{switch._head_route[index]!r}, head routes to {expected!r}",
                     input=index, mask=switch._head_route[index], actual=expected,
                 )
             if expected is not None:
-                counts[expected] += 1
-        if counts != switch._heads_for:
+                inputs_for[expected] |= 1 << index
+        if inputs_for != switch._inputs_for:
             self._violate(
-                "queue.head", switch.name or "crossbar",
-                f"per-output head counts {switch._heads_for} != actual {counts}",
-                mask=list(switch._heads_for), actual=counts,
+                "queue.head", name,
+                f"per-output input masks {switch._inputs_for} != actual "
+                f"{inputs_for}",
+                mask=list(switch._inputs_for), actual=inputs_for,
             )
+        headed = idle = 0
+        for output in range(switch.radix):
+            if inputs_for[output]:
+                headed |= 1 << output
+            if switch.sink[output] is not None and switch.in_flight[output] is None:
+                idle |= 1 << output
+        for mask, actual in (("_headed", headed), ("_idle", idle)):
+            if getattr(switch, mask) != actual:
+                self._violate(
+                    "queue.head", name,
+                    f"output mask {mask} is {getattr(switch, mask):#b}, "
+                    f"actual {actual:#b}",
+                    mask=mask, value=getattr(switch, mask), actual=actual,
+                )
 
     def _reference_scan(self, switch, output: int) -> Tuple[str, Optional[int]]:
         """Unmasked round-robin first-fit: ('grant'|'conflict'|'none', input)."""
         sink = switch.sink[output]
-        route = switch.route
+        table = switch.route_table
         start = switch.next_input[output]
         for offset in range(switch.radix):
             index = (start + offset) % switch.radix
             head = switch.input_queues[index].head()
-            if head is None or route(head) != output:
+            if head is None or table[head.destination] != output:
                 continue
             if sink.can_accept(head):
                 return "grant", index

@@ -59,8 +59,7 @@ def _drill_queue_head() -> None:
     """The crossbar's derived head-route mask lies about a queue head."""
     engine = Engine()
     switch = CrossbarSwitch(
-        engine, radix=2, route=lambda p: p.destination % 2,
-        queue_words=8, name="drill.xbar",
+        engine, radix=2, route_table=(0, 1), queue_words=8, name="drill.xbar",
     )
     switch.input_queues[0].push(_packet(destination=0))  # no sinks: no grant
     switch._head_route[0] = 1  # corrupt the mask behind the queue's back
@@ -71,13 +70,12 @@ def _drill_crossbar_arbiter() -> None:
     """A masked wake skips an output the reference arbiter would grant."""
     engine = Engine()
     switch = CrossbarSwitch(
-        engine, radix=2, route=lambda p: p.destination % 2,
-        queue_words=8, name="drill.arb",
+        engine, radix=2, route_table=(0, 1), queue_words=8, name="drill.arb",
     )
     switch.input_queues[0].push(_packet(destination=0))
     for output in range(switch.radix):
         switch.connect_output(output, BoundedWordQueue(8, name="drill.arb.sink"))
-    switch._heads_for[0] = 0  # lie: "no head routes to output 0"
+    switch._inputs_for[0] = 0  # lie: "no input's head routes to output 0"
     switch.wake(0)
 
 

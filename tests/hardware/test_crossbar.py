@@ -1,6 +1,7 @@
 """Tests for the flat crossbar switch and its prebound space waiters."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.hardware import sanitize
@@ -22,7 +23,7 @@ def packet(destination=0, words=1):
 
 def make_switch(tracer=None):
     return CrossbarSwitch(
-        Engine(), radix=4, route=lambda p: p.destination % 4,
+        Engine(), radix=4, route_table=(0, 1, 2, 3),
         queue_words=8, name="x", tracer=tracer,
     )
 
@@ -52,13 +53,13 @@ class TestPortConflicts:
         sink.push(packet())
         blocked = packet()
         switch.input_queues[2].push(blocked)
-        assert switch.busy == [False] * 4
+        assert switch._idle == 0b0001              # only output 0 is wired
         sink.pop()                                   # fires the waiter
-        assert switch.busy[0] and switch.in_flight[0] is blocked
+        assert switch._idle == 0 and switch.in_flight[0] is blocked
         assert switch.next_input[0] == 3
         switch.engine.run_until_idle()
         assert sink.head() is blocked
-        assert switch.in_flight == [None] * 4 and switch.busy == [False] * 4
+        assert switch.in_flight == [None] * 4 and switch._idle == 0b0001
 
 
 class TestRoundRobin:
@@ -80,6 +81,46 @@ class TestRoundRobin:
         assert sanitizer.violations == 0
         assert [p.request_tag for p in sink._packets] == [30, 0, 20, 31, 1, 21]
         assert switch.occupancy_words() == 0
+
+
+@st.composite
+def arbitration_states(draw):
+    """(radix, non-empty input mask, round-robin pointer)."""
+    radix = draw(st.integers(2, 8))
+    inputs = draw(st.integers(1, (1 << radix) - 1))
+    return radix, inputs, draw(st.integers(0, radix - 1))
+
+
+class TestBitPick:
+    """The lowest set bit of ``inputs >> start << start or inputs`` is the
+    first head-routed input in rotation order from the pointer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=arbitration_states(), whole_switch=st.booleans())
+    def test_pick_is_first_match_in_rotation_order(self, state, whole_switch):
+        radix, inputs, start = state
+        with sanitize.sanitizing() as sanitizer:
+            switch = CrossbarSwitch(
+                Engine(), radix=radix, route_table=(0,), queue_words=8,
+                name="pick",
+            )
+            heads = {}
+            for index in range(radix):
+                if inputs >> index & 1:
+                    heads[index] = packet()
+                    switch.input_queues[index].push(heads[index])
+            assert switch._inputs_for[0] == inputs
+            switch.next_input[0] = start
+            switch.connect_output(0, BoundedWordQueue(8, name="sink"))
+            if whole_switch:
+                switch.wake_all()
+            else:
+                switch.wake(0)
+        rotation = list(range(start, radix)) + list(range(start))
+        expected = next(i for i in rotation if inputs >> i & 1)
+        assert switch.in_flight[0] is heads[expected]
+        assert switch.next_input[0] == (expected + 1) % radix
+        assert sanitizer.violations == 0  # the shadow arbiter agreed
 
 
 def test_failed_reply_injections_requeue_one_waiter():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, NetworkConfig
 from repro.errors import ConfigurationError
 from repro.hardware.engine import Engine
 from repro.hardware.network import OmegaNetwork, _digit, _with_digit
@@ -56,6 +56,40 @@ class TestTopology:
             for line in range(network.num_lines):
                 sw, port = network._switch_for(stage, line)
                 assert network._line_for(stage, sw, port) == line
+
+
+    @pytest.mark.parametrize("radix", [2, 4, 8])
+    @pytest.mark.parametrize("ports", [2, 5, 8, 16, 33, 64])
+    def test_every_switch_output_sink_has_one_writer(self, radix, ports):
+        """A crossbar output checks its sink's space at the grant and pushes
+        at the end of the transfer; that is only safe because no other
+        output writes the same queue, in either network of a machine."""
+        engine = Engine()
+        config = NetworkConfig(switch_radix=radix)
+        for name in ("fwd", "rev"):
+            network = OmegaNetwork(engine, ports, config, name=name)
+            writers = {}
+            for row in network.stages:
+                for switch in row:
+                    for output, sink in enumerate(switch.sink):
+                        assert sink is not None
+                        writers.setdefault(id(sink), []).append(
+                            (switch.name, output)
+                        )
+            assert all(len(w) == 1 for w in writers.values()), writers
+            wired = sum(len(row) * radix for row in network.stages)
+            assert len(writers) == wired
+
+    def test_route_tables_follow_the_destination_digits(self):
+        _, network = make_network(32)
+        for stage, row in enumerate(network.stages):
+            position = network.num_stages - 1 - stage
+            expected = [
+                _digit(line, position, network.radix)
+                for line in range(network.num_lines)
+            ]
+            for switch in row:
+                assert list(switch.route_table) == expected
 
 
 class TestDelivery:

@@ -77,7 +77,7 @@ class TestBoundedWordQueue:
 def switch_queue(queue_words=8):
     """A radix-4 switch with no outputs wired, and its input queue 1."""
     switch = CrossbarSwitch(
-        Engine(), radix=4, route=lambda p: p.destination % 4,
+        Engine(), radix=4, route_table=(0, 1, 2, 3),
         queue_words=queue_words, name="x",
     )
     return switch, switch.input_queues[1]
@@ -88,7 +88,8 @@ class TestHeadListener:
 
     The switch's input queues keep its head-route masks inline: a push
     into an empty queue and every pop re-derive them before the switch
-    wakes or a space waiter runs.
+    wakes or a space waiter runs.  Input 1 is bit ``0b10`` of an input
+    mask; output ``o`` is bit ``1 << o`` of ``_headed``.
     """
 
     def test_fires_on_push_into_empty_and_on_pop(self):
@@ -96,24 +97,37 @@ class TestHeadListener:
         first, second = packet(destination=1), packet(destination=2)
         queue.push(first)          # empty -> first
         assert switch._head_route[1] == 1
-        assert switch._heads_for == [0, 1, 0, 0]
+        assert switch._inputs_for == [0, 0b10, 0, 0]
+        assert switch._headed == 0b0010
         queue.push(second)         # head unchanged
         assert switch._head_route[1] == 1
-        assert switch._heads_for == [0, 1, 0, 0]
+        assert switch._inputs_for == [0, 0b10, 0, 0]
+        assert switch._headed == 0b0010
         queue.pop()                # head becomes second
         assert switch._head_route[1] == 2
-        assert switch._heads_for == [0, 0, 1, 0]
+        assert switch._inputs_for == [0, 0, 0b10, 0]
+        assert switch._headed == 0b0100
         queue.pop()                # head becomes None
         assert switch._head_route[1] is None
-        assert switch._heads_for == [0, 0, 0, 0]
+        assert switch._inputs_for == [0, 0, 0, 0]
+        assert switch._headed == 0
+        assert switch._idle == 0   # no output wired
 
     def test_fires_before_item_listeners(self):
         switch, queue = switch_queue()
+        sink = BoundedWordQueue(8, name="sink")
+        switch.connect_output(3, sink)
         seen = []
-        # The switch-wide wake takes the place of an item listener.
-        queue._wake_all = lambda: seen.append(switch._head_route[1])
+        # The switch-wide wake takes the place of an item listener; it is
+        # only called once the masks show a headed idle output.
+        queue._wake_all = lambda: seen.append(
+            (switch._inputs_for[3], switch._headed & switch._idle)
+        )
+        queue.push(packet(destination=2))    # output 2 is unwired: no wake
+        assert seen == []
+        queue.pop()
         queue.push(packet(destination=3))
-        assert seen == [3]
+        assert seen == [(0b10, 0b1000)]
 
     def test_fires_before_space_waiters(self):
         switch, queue = switch_queue(queue_words=1)

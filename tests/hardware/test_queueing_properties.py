@@ -98,9 +98,10 @@ class TestRandomInterleavings:
     def test_head_listener_fires_on_every_head_change(self, sequence):
         """The contract the crossbar masks are built on: after every push
         and pop, a switch input queue's head-route mask names the route
-        of its actual head and the per-output counts agree."""
+        of its actual head, and the per-output input masks and the
+        ``_headed`` output mask agree."""
         switch = CrossbarSwitch(
-            Engine(), radix=4, route=lambda p: p.destination % 4,
+            Engine(), radix=4, route_table=(0, 1, 2, 3),
             queue_words=8, name="heads",
         )
         queue = switch.input_queues[2]
@@ -117,6 +118,7 @@ class TestRandomInterleavings:
                 model.pop(0)
             expected = model[0].destination if model else None
             assert switch._head_route == [None, None, expected, None]
-            assert switch._heads_for == [
-                int(expected == output) for output in range(4)
+            assert switch._inputs_for == [
+                0b100 if expected == output else 0 for output in range(4)
             ]
+            assert switch._headed == (0 if expected is None else 1 << expected)

@@ -94,6 +94,35 @@ class TestFaultDrills:
         assert "outer_phase" in str(excinfo.value)
 
 
+class TestCrossbarMasks:
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda idle: idle & ~0b01, id="wired-output-marked-busy"),
+        pytest.param(lambda idle: idle | 0b10, id="unwired-output-marked-idle"),
+    ])
+    def test_corrupted_idle_mask_caught_on_next_scan(self, corrupt):
+        from repro.hardware.crossbar import CrossbarSwitch
+        from repro.hardware.packet import Packet, PacketKind
+
+        with sanitize.sanitizing() as sanitizer:
+            switch = CrossbarSwitch(
+                Engine(), radix=2, route_table=(0, 1), queue_words=8,
+                name="idle",
+            )
+            switch.connect_output(0, BoundedWordQueue(8, name="idle.sink"))
+            switch.wake_all()                       # consistent: passes
+            switch._idle = corrupt(switch._idle)
+            with pytest.raises(SanitizerError) as excinfo:
+                switch.input_queues[1].push(
+                    Packet(
+                        kind=PacketKind.READ_REQUEST, source=1,
+                        destination=0, address=0,
+                    )
+                )
+        assert excinfo.value.invariant == "queue.head"
+        assert excinfo.value.details["mask"] == "_idle"
+        assert sanitizer.violations == 1
+
+
 class TestCleanRuns:
     def test_small_kernel_runs_clean_and_identical(self):
         baseline = repr(measure_vector_load(4))

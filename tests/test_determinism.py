@@ -20,6 +20,7 @@ machine metrics registry, and engine dispatch counts.
 
 import multiprocessing
 import random
+import sys
 
 import pytest
 
@@ -36,6 +37,14 @@ from repro.metrics.registry import MetricsRegistry
 from repro.trace import Tracer, tracing
 from tests.hardware.reference_crossbar import ReferenceCrossbarSwitch
 from tests.hardware.reference_engine import ReferenceEngine
+
+
+def _reference_switch(*, route_table, **kwargs):
+    """The oracle switch routes through a closure; the network hands out
+    per-stage destination tables."""
+    return ReferenceCrossbarSwitch(
+        route=lambda packet: route_table[packet.destination], **kwargs
+    )
 
 
 def _traced_run(kernel):
@@ -90,7 +99,7 @@ def test_crossbar_matches_reference_byte_identical(kernel, monkeypatch):
     """Flat per-switch crossbar (sanitized) vs per-output arbiter objects."""
     flat = _sanitized_traced_run(kernel)
     monkeypatch.setattr(
-        "repro.hardware.network.CrossbarSwitch", ReferenceCrossbarSwitch
+        "repro.hardware.network.CrossbarSwitch", _reference_switch
     )
     reference = _traced_run(kernel)
     assert flat[0] == reference[0]     # rendered kernel result
@@ -183,6 +192,110 @@ def _fuzz_network_run(seed, engine_class=Engine):
         network.occupancy_words(),
         sanitizer.checks.get("crossbar.arbiter", 0),
     )
+
+
+def _in_scan_of(switch):
+    """Whether ``switch.wake_all`` is on the call stack."""
+    scan = type(switch).wake_all.__code__
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is scan and frame.f_locals.get("self") is switch:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _reentrant_injection_run():
+    """Port 0 floods its stage-0 switch through a one-word-port network.
+
+    Each cycle its entry queue is full queues a space waiter that injects
+    a packet at port 4, another input of the same switch, while the grant
+    that freed the space is still on the stack.  Returns the delivery
+    stream, the port-conflict total, ``events_dispatched`` and how many
+    waiter injections ran inside that switch's own scan.
+    """
+    tracer = Tracer(enabled=True)
+    with sanitize.sanitizing() as sanitizer:
+        engine = Engine()
+        tracer.set_clock(lambda: engine.now)
+        network = OmegaNetwork(
+            engine, 16, NetworkConfig(switch_radix=4, port_queue_words=1),
+            name="reenter", tracer=tracer,
+        )
+        switch = network.stages[0][0]
+        assert network.entry_queue(0) in switch.input_queues
+        assert network.entry_queue(4) in switch.input_queues
+        deliveries = []
+        for port in range(16):
+            network.attach_sink(
+                port,
+                lambda packet, p=port: deliveries.append(
+                    (p, packet.request_tag, engine.now)
+                ),
+            )
+
+        def make(tag, source, destination, words):
+            return Packet(
+                kind=PacketKind.READ_REQUEST, source=source,
+                destination=destination, address=destination, words=words,
+                request_tag=tag,
+            )
+
+        # Chosen so that one re-entrant injection heads for a higher output
+        # of the same switch whose sink is full: the resumed scan must
+        # count that conflict again, as the per-output arbiters do.
+        flood = [make(i, 0, (8, 3, 15)[i % 3], 1 + i % 2) for i in range(40)]
+        side = [make(100 + i, 4, (5, 14, 9)[i % 3], 2) for i in range(12)]
+        # Port 1 feeds another stage-0 switch into the same stage-1
+        # switches, so stage-1 queues back up and stage-0 outputs conflict.
+        rival = [make(200 + i, 1, (2, 15)[i % 2], 2) for i in range(20)]
+        in_scan = []
+
+        def on_space():
+            in_scan.append(_in_scan_of(switch))
+            if side and network.try_inject(4, side[0]):
+                side.pop(0)
+
+        def pump():
+            # Every cycle the flood stays blocked queues one more waiter,
+            # so grants of port 0's head from any scan fire one.
+            while rival and network.try_inject(1, rival[0]):
+                rival.pop(0)
+            while flood and network.try_inject(0, flood[0]):
+                flood.pop(0)
+            if flood:
+                network.on_entry_space(0, on_space)
+            if flood or rival:
+                engine.schedule(1, pump)
+
+        engine.schedule(0, pump)
+        engine.run_until_idle()
+        while side:  # leftovers the waiters could not place
+            if network.try_inject(4, side[0]):
+                side.pop(0)
+            engine.run_until_idle()
+    sanitizer.finalize()
+    assert sanitizer.violations == 0
+    assert len(deliveries) == 72
+    conflicts = sum(
+        totals.get("port_conflicts", 0)
+        for totals in tracer.counter_totals().values()
+    )
+    return tuple(deliveries), conflicts, engine.events_dispatched, sum(in_scan)
+
+
+def test_reentrant_stage0_injection_matches_reference(monkeypatch):
+    """A stage-0 space waiter injects into the switch whose scan is
+    granting: the scan must re-read its masks after the grant, and the
+    result must equal the per-output arbiter oracle's."""
+    flat = _reentrant_injection_run()
+    assert flat[3] > 0  # the waiter really re-entered a running scan
+    assert flat[1] > 0  # and the run saw port conflicts
+    monkeypatch.setattr(
+        "repro.hardware.network.CrossbarSwitch", _reference_switch
+    )
+    oracle = _reentrant_injection_run()
+    assert flat[:3] == oracle[:3]  # deliveries, port_conflicts, events
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +406,7 @@ def test_fuzzed_network_matches_reference_engine(seed, monkeypatch):
     assert fast[1] == reference[1]  # events_dispatched
     assert fast[2] == reference[2] == 0  # network fully drained
     monkeypatch.setattr(
-        "repro.hardware.network.CrossbarSwitch", ReferenceCrossbarSwitch
+        "repro.hardware.network.CrossbarSwitch", _reference_switch
     )
     oracle = _fuzz_network_run(seed)
     assert fast[:3] == oracle[:3]
