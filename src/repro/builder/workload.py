@@ -96,10 +96,12 @@ def measure_spec(spec: MachineSpec, blocks: int = DEFAULT_BLOCKS) -> SweepMetric
 
     Two simulator runs: the full machine (traced, for the conflict
     counters) and one CE (untraced, the speedup baseline).  Both runs are
-    deterministic, so the metrics are too.
+    deterministic, so the metrics are too.  The full-machine tracer is
+    counters-only (``max_records=0``): only counter totals are read, and
+    they are exact without a record timeline.
     """
     config = build_config(spec)
-    tracer = Tracer()
+    tracer = Tracer(max_records=0)
     machine = CedarMachine(config, tracer=tracer)
     kernel = stream_kernel(config, blocks)
     cycles = machine.run_kernel(kernel, num_ces=config.num_ces)

@@ -163,6 +163,10 @@ class NetworkPort:
         self._callbacks[tag] = callback
         return tag
 
+    def release_tag(self, tag: int) -> None:
+        """Drop the callback of a tag whose request was never injected."""
+        del self._callbacks[tag]
+
     def send(self, packet: Packet) -> bool:
         return self.forward.try_inject(self.port, packet)
 
@@ -216,6 +220,7 @@ class ComputationalElement:
             send=self.port.send,
             on_send_space=self.port.on_space,
             new_tag=self.port.new_tag,
+            release_tag=self.port.release_tag,
             port=global_port,
             memory_port_of=memory_port_of,
             tracer=tracer,
@@ -355,7 +360,7 @@ class ComputationalElement:
                     request_tag=tag,
                 )
                 if not self.port.send(packet):
-                    self.port._callbacks.pop(tag)
+                    self.port.release_tag(tag)
                     self.port.on_space(issue)
                     return
                 state["issued"] += 1

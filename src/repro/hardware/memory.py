@@ -67,6 +67,10 @@ class MemoryModule:
             if self.trace is not None
             else None
         )
+        #: Span args are built only for a bus that stores its records.
+        self._span_address = (
+            self.trace is not None and self.trace.keeps_records
+        )
         #: Lazily bound counter slots (-1 until the first bump).
         self._slot_served = -1
         self._slot_busy = -1
@@ -103,10 +107,16 @@ class MemoryModule:
         self.busy_cycles += service
         if self.trace is not None:
             now = self.engine.now
-            self.trace.complete(
-                self._trace_component, _KIND_NAMES[request.kind],
-                now, now + service, address=request.address,
-            )
+            if self._span_address:
+                self.trace.complete(
+                    self._trace_component, _KIND_NAMES[request.kind],
+                    now, now + service, address=request.address,
+                )
+            else:
+                self.trace.complete(
+                    self._trace_component, _KIND_NAMES[request.kind],
+                    now, now + service,
+                )
             counters = self._trace_counters
             slot = self._slot_served
             if slot < 0:

@@ -138,6 +138,12 @@ class OmegaNetwork:
         for line in range(self.num_lines):
             sw, index = self._switch_for(0, line)
             self._entry_queues.append(self.stages[0][sw].input_queues[index])
+        #: Every queue that buffers words inside the network, flattened once
+        #: for the sampled occupancy gauge.
+        self._buffers: List[BoundedWordQueue] = [
+            queue for row in self.stages for switch in row
+            for queue in switch.input_queues
+        ] + self._delivery_queues
 
     def _switch_for(self, stage: int, line: int) -> "tuple[int, int]":
         """(switch index, port index) of ``line`` at ``stage``.
@@ -252,6 +258,4 @@ class OmegaNetwork:
 
     def occupancy_words(self) -> int:
         """Total words buffered inside the network (for tests/ablation)."""
-        total = sum(s.occupancy_words() for row in self.stages for s in row)
-        total += sum(q.used_words for q in self._delivery_queues)
-        return total
+        return sum([queue._used_words for queue in self._buffers])

@@ -100,6 +100,7 @@ class PrefetchUnit:
         send: Callable[[Packet], bool],
         on_send_space: Callable[[Callable[[], None]], None],
         new_tag: Callable[[Callable[[Packet], None]], int],
+        release_tag: Callable[[int], None],
         port: int,
         memory_port_of: Callable[[int], int],
         tracer=None,
@@ -112,6 +113,8 @@ class PrefetchUnit:
             on_send_space: Registers a retry callback for a full entry queue.
             new_tag: Allocates a reply tag bound to a one-shot callback (the
                 CE network port dispatches replies by tag).
+            release_tag: Drops the callback of a tag whose request the
+                network rejected (the retry allocates a fresh tag).
             port: This CE's network port (packet source id).
             memory_port_of: Maps a word address to its memory-module port.
         """
@@ -120,6 +123,7 @@ class PrefetchUnit:
         self._send = send
         self._on_send_space = on_send_space
         self._new_tag = new_tag
+        self._release_tag = release_tag
         self.port = port
         self._memory_port_of = memory_port_of
         self.trace = tracer.if_enabled() if tracer is not None else None
@@ -237,6 +241,7 @@ class PrefetchUnit:
                 counters.values[slot] += 1
             self._issue_tick.schedule()
         else:
+            self._release_tag(tag)
             stall_start = self.engine.now
             self._on_send_space(
                 lambda: self._retry_issue(index, stall_start)

@@ -49,11 +49,6 @@ from repro.trace import TraceMerger, Tracer, tracing
 #: Unit name used for experiments without a declared decomposition.
 WHOLE_UNIT = "__whole__"
 
-#: Ring size for the per-unit telemetry tracers used when ``--trace-out``
-#: is absent: counter totals (the events/s source) are exact regardless of
-#: ring capacity, so a small ring keeps the overhead negligible.
-TELEMETRY_RECORDS = 1024
-
 
 def plan_units(key: str) -> List[str]:
     """The experiment's declared unit names, or ``[WHOLE_UNIT]``."""
@@ -109,7 +104,8 @@ def _run_units(
         if traced:
             tracer = Tracer(enabled=True)
         elif instrumented:
-            tracer = Tracer(enabled=True, max_records=TELEMETRY_RECORDS)
+            # Telemetry reads only counter totals (the events/s source).
+            tracer = Tracer(enabled=True, max_records=0)
         with tracing(tracer) if tracer is not None else nullcontext():
             if sanitized:
                 with sanitizing() as sanitizer:

@@ -59,6 +59,13 @@ SAMPLE_FLOAT_COLUMNS = ("value",)
 
 KINDS = ("spans", "instants", "samples")
 
+#: (kind, int column names) in wire order.
+INT_LAYOUT = (
+    ("spans", SPAN_INT_COLUMNS),
+    ("instants", INSTANT_INT_COLUMNS),
+    ("samples", SAMPLE_INT_COLUMNS),
+)
+
 #: Value types whose ``repr`` is stable across processes.
 _STABLE_SCALARS = (int, float, str, bool, type(None))
 
@@ -245,10 +252,17 @@ class TraceSnapshot:
     def __init__(self) -> None:
         self.strings: List[str] = []
         self.counts: Dict[str, int] = {kind: 0 for kind in KINDS}
-        #: kind -> column name -> segment tuple.
-        self.int_columns: Dict[str, Dict[str, Sequence]] = {k: {} for k in KINDS}
-        self.float_columns: Dict[str, Dict[str, Sequence]] = {k: {} for k in KINDS}
-        self.obj_columns: Dict[str, Dict[str, Sequence]] = {k: {} for k in KINDS}
+        #: kind -> column name -> segment tuple; every column starts empty,
+        #: so a fresh snapshot is a valid zero-record one.
+        self.int_columns: Dict[str, Dict[str, Sequence]] = {
+            kind: dict.fromkeys(names, ()) for kind, names in INT_LAYOUT
+        }
+        self.float_columns: Dict[str, Dict[str, Sequence]] = {
+            "spans": {}, "instants": {}, "samples": {"value": ()}
+        }
+        self.obj_columns: Dict[str, Dict[str, Sequence]] = {
+            "spans": {"args": ()}, "instants": {"value": ()}, "samples": {}
+        }
         self.counter_totals: Dict[str, Dict[str, float]] = {}
         #: component -> sorted names of its sampled counters (gauges).
         self.sampled_counters: Dict[str, List[str]] = {}
@@ -320,11 +334,7 @@ class TraceSnapshot:
             ],
         }
         blobs: List[bytes] = []
-        for kind, names in (
-            ("spans", SPAN_INT_COLUMNS),
-            ("instants", INSTANT_INT_COLUMNS),
-            ("samples", SAMPLE_INT_COLUMNS),
-        ):
+        for kind, names in INT_LAYOUT:
             for name in names:
                 blobs.append(_segment_bytes(self.int_columns[kind][name]))
         for name in SAMPLE_FLOAT_COLUMNS:
@@ -367,11 +377,7 @@ class TraceSnapshot:
         snap.records_seen = int(header["records_seen"])
         snap.values_rendered = True
         view = memoryview(payload)
-        for kind, names in (
-            ("spans", SPAN_INT_COLUMNS),
-            ("instants", INSTANT_INT_COLUMNS),
-            ("samples", SAMPLE_INT_COLUMNS),
-        ):
+        for kind, names in INT_LAYOUT:
             count = snap.counts[kind]
             for name in names:
                 segment = view[offset:offset + 8 * count].cast("q")

@@ -21,6 +21,15 @@ Like the paper's 1M-event tracers, the record store is bounded
 rather than silently lost, while counter *totals* and busy-cycle aggregates
 stay exact regardless.
 
+``max_records=0`` makes a **counters-only** tracer for callers that read
+aggregates but never the timeline (each ``sweep`` point's
+:func:`~repro.builder.workload.measure_spec`, the partition runtime's
+events telemetry): counter totals, gauges, busy cycles, span counts and
+elapsed cycles stay exact, but no span, instant or sample is appended, so
+the record store does no interning and no ring writes.  Callers that do
+read records (``--trace-out``, ``trace``, ``bench``, serve's progress
+ring) keep a positive bound.
+
 Records live in the **columnar store** (:mod:`repro.trace.columnar`):
 flat preallocated ring-buffer columns with string-interned ids,
 oldest-first eviction at capacity, and zero-copy :meth:`Tracer.snapshot`
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TraceError
-from repro.trace.columnar import ColumnarStore, TraceSnapshot
+from repro.trace.columnar import KINDS, ColumnarStore, TraceSnapshot
 
 Clock = Callable[[], int]
 
@@ -168,13 +177,16 @@ class Tracer:
         clock: Optional[Clock] = None,
         max_records: int = DEFAULT_MAX_RECORDS,
     ) -> None:
-        if max_records < 1:
-            raise TraceError(f"max_records must be >= 1, got {max_records}")
+        if max_records < 0:
+            raise TraceError(f"max_records must be >= 0, got {max_records}")
         self.enabled = enabled
         self.clock = clock
         self.max_records = max_records
+        #: False for a counters-only tracer: aggregates stay exact, but no
+        #: span, instant or sample is appended to a record store.
+        self.keeps_records = max_records > 0
         self.epoch = 0
-        self._store = ColumnarStore(max_records)
+        self._store = ColumnarStore(max_records) if max_records else _NoRecords()
         self._clock_was_set = clock is not None
         self._counter_sets: Dict[str, CounterSet] = {}
         self._span_stacks: Dict[str, List[Tuple[str, int, Optional[Dict[str, object]]]]] = {}
@@ -304,7 +316,8 @@ class Tracer:
         if cycle is None:
             cycle = self.now() if self.clock is not None else 0
         self._note_cycle(cycle)
-        self._store.add_instant(component, name, self.epoch, cycle, value)
+        if self.keeps_records:
+            self._store.add_instant(component, name, self.epoch, cycle, value)
 
     # -- the bus (always on) -----------------------------------------------
 
@@ -416,13 +429,17 @@ class Tracer:
         self._busy[component] = self._busy.get(component, 0) + (end - start)
         self._span_counts[component] = self._span_counts.get(component, 0) + 1
         self._note_cycle(end)
-        self._store.add_span(component, name, self.epoch, start, end, depth, args)
+        if self.keeps_records:
+            self._store.add_span(
+                component, name, self.epoch, start, end, depth, args
+            )
 
     def _record_sample(
         self, component: str, name: str, cycle: int, value: float
     ) -> None:
         self._note_cycle(cycle)
-        self._store.add_sample(component, name, self.epoch, cycle, value)
+        if self.keeps_records:
+            self._store.add_sample(component, name, self.epoch, cycle, value)
 
     def _note_cycle(self, cycle: int) -> None:
         if cycle > self._elapsed.get(self.epoch, 0):
@@ -461,7 +478,11 @@ class Tracer:
         the bench self-profile non-regression gate needs.
         """
         records = self._store.total_appended
-        cost = _per_record_cost(type(getattr(self._store, "inner", self._store)))
+        cost = (
+            _per_record_cost(type(getattr(self._store, "inner", self._store)))
+            if self.keeps_records
+            else 0.0
+        )
         overhead = records * cost
         return {
             "records": float(records),
@@ -469,6 +490,23 @@ class Tracer:
             "overhead_seconds": overhead,
             "ratio": (overhead / wall_seconds) if wall_seconds > 0 else 0.0,
         }
+
+
+class _NoRecords:
+    """The record store of a counters-only tracer (``max_records=0``).
+
+    The tracer never appends to it: it interns no string, holds no record
+    and reports zero everywhere, and its snapshot has empty columns.
+    """
+
+    max_records = num_records = total_appended = dropped = buffer_bytes = 0
+    strings = ()
+
+    def counts(self) -> Dict[str, int]:
+        return dict.fromkeys(KINDS, 0)
+
+    def snapshot(self) -> TraceSnapshot:
+        return TraceSnapshot()
 
 
 #: Per-process cache of calibrated per-record append cost, by store class.

@@ -110,3 +110,30 @@ class TestBufferInvalidation:
         # 32 words at >= 1 cycle each plus startup and fill latency.
         assert times["elapsed"] >= 32
         assert times["flops"] == 64.0
+
+
+class TestReplyTags:
+    def test_rejected_injections_leave_no_reply_callbacks(self):
+        """A prefetch word the network rejects releases its reply tag.
+
+        The retry allocates a fresh tag, so a kept callback would never
+        be delivered: after the run every port's tag table is empty.
+        """
+        from repro.builder.workload import stream_kernel
+        from repro.trace import Tracer
+
+        tracer = Tracer(max_records=0)
+        machine = CedarMachine(DEFAULT_CONFIG, tracer=tracer)
+        machine.run_kernel(
+            stream_kernel(DEFAULT_CONFIG, blocks=2),
+            num_ces=DEFAULT_CONFIG.num_ces,
+        )
+        rejections = sum(
+            totals.get("injection_rejections", 0)
+            for totals in tracer.counter_totals().values()
+        )
+        assert rejections > 0  # the run really was contended
+        assert all(ce.pfu.completed for ce in machine.all_ces)
+        assert [ce.port._callbacks for ce in machine.all_ces] == [
+            {} for _ in machine.all_ces
+        ]

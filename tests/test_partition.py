@@ -81,3 +81,41 @@ class TestShardRuntime:
         run = run_partitioned("table6", 1, instrumented=False)
         assert run.telemetry["events_dispatched"] == 0.0
         assert run.rendered == run_partitioned("table6", 1).rendered
+
+    def test_telemetry_tracer_counts_events_without_records(self, monkeypatch):
+        """Partition telemetry reads only counter totals, so its per-unit
+        tracer is counters-only, yet counts every event a recording
+        tracer does."""
+        from repro.experiments import registry
+        from repro.hardware.ce import Compute
+        from repro.hardware.machine import CedarMachine
+        from repro.trace import current_tracer
+
+        buses = []
+
+        def kernel(ce):
+            yield Compute(10, flops=1.0)
+
+        def run_unit(name):
+            buses.append(current_tracer())
+            CedarMachine().run_kernel(kernel, num_ces=int(name))
+            return name
+
+        experiment = registry.Experiment(
+            key="tiny",
+            description="two small machine runs",
+            run=lambda: None,
+            render=lambda result: repr(result),
+            units=lambda: ["2", "4"],
+            run_unit=run_unit,
+            combine=lambda results: results,
+        )
+        monkeypatch.setitem(registry.EXPERIMENTS, "tiny", experiment)
+        counted = run_partitioned("tiny", 1)
+        assert [bus.keeps_records for bus in buses] == [False, False]
+        assert [bus.num_records for bus in buses] == [0, 0]
+        traced = run_partitioned("tiny", 1, traced=True)
+        assert buses[-1].num_records > 0
+        assert counted.rendered == traced.rendered
+        events = counted.telemetry["events_dispatched"]
+        assert events == traced.telemetry["events_dispatched"] > 0

@@ -7,6 +7,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.errors import TraceError
 from repro.trace import (
+    TraceSnapshot,
     Tracer,
     chrome_trace_events,
     chrome_trace_json,
@@ -102,6 +103,127 @@ class TestSpans:
     def test_begin_needs_a_clock(self):
         with pytest.raises(TraceError):
             Tracer().begin("machine", "run")
+
+
+def _aggregates(tracer: Tracer) -> dict:
+    """Everything a counters-only tracer must keep exact."""
+    snap = tracer.snapshot()
+    return {
+        "counter_totals": snap.counter_totals,
+        "sampled_counters": snap.sampled_counters,
+        "busy_cycles": snap.busy_cycles,
+        "span_counts": snap.span_counts,
+        "elapsed_by_epoch": snap.elapsed_by_epoch,
+        "epochs": snap.epochs,
+    }
+
+
+class TestCountersOnly:
+    """``max_records=0``: exact aggregates, no record timeline."""
+
+    def _record_everything(self, tracer: Tracer) -> None:
+        tracer.set_clock(FakeClock(7))
+        tracer.count("fwd", "packets", 3)
+        tracer.sample("fwd", "occupancy", 12.0, cycle=40)
+        tracer.complete("memory.m00", "read", 2, 6, address=64)
+        with tracer.span("machine", "run"):
+            tracer.instant("ce00", "posted", value=1)
+        tracer.publish("prefetch.first_word_latency", 93)
+
+    def test_keeps_aggregates_but_no_records(self):
+        full, counters_only = Tracer(), Tracer(max_records=0)
+        for tracer in (full, counters_only):
+            self._record_everything(tracer)
+        assert not counters_only.keeps_records and full.keeps_records
+        assert full.num_records == 5
+        assert _aggregates(counters_only) == _aggregates(full)
+        assert counters_only.num_records == 0
+        assert counters_only.records_seen == 0
+        assert counters_only.dropped == 0
+        assert counters_only.buffer_bytes == 0
+        assert counters_only.interned_strings == 0
+        assert counters_only.record_counts() == {
+            "spans": 0, "instants": 0, "samples": 0
+        }
+        assert (counters_only.spans, counters_only.instants,
+                counters_only.samples) == ([], [], [])
+
+    def test_snapshot_round_trips_with_zero_records(self):
+        tracer = Tracer(max_records=0)
+        self._record_everything(tracer)
+        snap = tracer.snapshot()
+        assert snap.num_records == 0
+        payload = snap.to_bytes()
+        parsed = TraceSnapshot.from_bytes(payload)
+        assert parsed.num_records == 0
+        assert parsed.counter_totals == snap.counter_totals
+        assert parsed.busy_cycles == {"memory.m00": 4, "machine": 0}
+        assert parsed.to_bytes() == payload
+        assert parsed.column("spans", "start") == []
+        # The exporters render an aggregates-only trace.
+        assert "Component utilization" in utilization_report(tracer)
+        json.loads(chrome_trace_json(tracer))
+
+    def test_record_store_is_never_built(self, monkeypatch):
+        def no_store(max_records):
+            raise AssertionError("counters-only tracer built a record store")
+
+        monkeypatch.setattr("repro.trace.tracer.ColumnarStore", no_store)
+        self._record_everything(Tracer(max_records=0))
+
+    def test_negative_bound_still_raises(self):
+        with pytest.raises(TraceError):
+            Tracer(max_records=-1)
+
+    def test_complete_still_rejects_negative_interval(self):
+        tracer = Tracer(clock=FakeClock(), max_records=0)
+        with pytest.raises(TraceError):
+            tracer.complete("memory", "read", 10, 4)
+
+    def test_matches_full_tracer_on_contended_table2_cell(self):
+        from repro.experiments import table2
+
+        results = []
+        for tracer in (Tracer(), Tracer(max_records=0)):
+            with tracing(tracer):
+                cell = table2.run_unit("TM:16")
+            results.append((cell, _aggregates(tracer)))
+        full, counters_only = results
+        assert counters_only == full
+        # The cell really is contended: both conflict counters move.
+        for name in ("port_conflicts", "injection_rejections"):
+            assert sum(
+                totals.get(name, 0)
+                for totals in full[1]["counter_totals"].values()
+            ) > 0
+
+    def test_matches_full_tracer_on_a_sweep_shape(self):
+        from repro.builder import MachineSpec, build_config
+        from repro.builder.workload import stream_kernel
+        from repro.hardware.machine import CedarMachine
+
+        config = build_config(MachineSpec(clusters=2, switch_radix=4))
+        aggregates = []
+        for tracer in (Tracer(), Tracer(max_records=0)):
+            machine = CedarMachine(config, tracer=tracer)
+            machine.run_kernel(stream_kernel(config, 2), num_ces=config.num_ces)
+            aggregates.append(_aggregates(tracer))
+        assert aggregates[0] == aggregates[1]
+
+    def test_measure_spec_matches_a_recording_tracer(self, monkeypatch):
+        from repro.builder import MachineSpec, workload
+
+        spec = MachineSpec(clusters=2, switch_radix=4)
+        counters_only = workload.measure_spec(spec, blocks=2)
+        recording = []
+
+        def full_tracer(**kwargs):
+            recording.append(Tracer())
+            return recording[-1]
+
+        monkeypatch.setattr(workload, "Tracer", full_tracer)
+        assert workload.measure_spec(spec, blocks=2) == counters_only
+        assert recording and recording[0].num_records > 0
 
 
 class TestEpochs:
