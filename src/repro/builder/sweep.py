@@ -19,6 +19,7 @@ candidate order -- so the canonical JSON is byte-identical for any
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -75,6 +76,14 @@ def run_point(
             },
         }
         return record
+    finally:
+        # A machine is a cyclic object graph (its switches hold callables
+        # bound to themselves), so the point's machines die as cyclic
+        # garbage.  Freeing them here bounds a sweep's memory high-water to
+        # one point's machines; left to the collector's allocation-count
+        # thresholds, how many dead machines pile up depends on how many
+        # objects the simulator happens to allocate.
+        gc.collect()
     return {"spec": spec.to_dict(), "metrics": metrics.to_dict()}
 
 

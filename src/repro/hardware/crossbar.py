@@ -22,7 +22,12 @@ routes to ``o``.  Two switch-wide output masks summarise the rest:
 not transferring).  Routes come from ``route_table``, a destination ->
 output-port list the network builds once per stage.  The input queues are
 :class:`SwitchInputQueue`, whose push and pop keep the masks current
-inline and then call the switch directly.  The space waiter that re-scans
+inline and then call the switch directly.  On the hot path a hop is
+straight-line code: a grant pops its input queue inline (the same mask
+update as ``SwitchInputQueue.pop``), and an output wired to the next
+stage's input queue ends its transfer with :meth:`_finish_hop`, which
+pushes inline; an output wired to a network exit queue uses
+:meth:`_finish` and the queue's own push.  The space waiter that re-scans
 an output and the completion that ends its transfer are bound once per
 output at construction, so a port conflict queues a reference instead of
 allocating a callable.
@@ -63,7 +68,9 @@ class SwitchInputQueue(BoundedWordQueue):
 
     Its switch is its only observer.  A push into an empty queue and every
     pop re-derive the masks before anyone reacts; then a push wakes the
-    whole switch and a pop wakes one blocked upstream writer.
+    whole switch and a pop wakes one blocked upstream writer.  The hot
+    path runs inline copies of both: a grant pops (``_grant``) and a
+    finished hop pushes (``_finish_hop``) without calling these.
     """
 
     def __init__(
@@ -177,9 +184,14 @@ class CrossbarSwitch:
         self.next_input: List[int] = [0] * radix
         self.in_flight: List[Optional[Packet]] = [None] * radix
         self.sink: List[Optional[BoundedWordQueue]] = [None] * radix
-        wake, finish = CrossbarSwitch.wake, CrossbarSwitch._finish
+        #: Bound once: every grant passes both to the engine.
+        self._schedule_pair = engine.schedule_pair
+        self._wake_all = self.wake_all
+        wake = CrossbarSwitch.wake
         self._wakers = [partial(wake, self, o) for o in range(radix)]
-        self._finishers = [partial(finish, self, o) for o in range(radix)]
+        #: Per-output end of transfer, picked by :meth:`connect_output`
+        #: (an unwired output is never idle, so it is never granted).
+        self._finishers: List[Optional[Callable[[], None]]] = [None] * radix
         self.input_queues: List[SwitchInputQueue] = [
             SwitchInputQueue(self, i, queue_words) for i in range(radix)
         ]
@@ -202,7 +214,20 @@ class CrossbarSwitch:
             head = self.input_queues[index]._packets[0]
             sink = self.sink[output]
             if head.words > sink.capacity_words - sink._used_words:
-                self._conflict(output, sink, head)
+                # Port conflict: downstream is full, wait for space.  Every
+                # re-scan that hits the full sink counts another conflict
+                # and queues the output's one prebound waiter again.
+                if self._sanitizer is not None:
+                    self._sanitizer.check_port_conflict(self, output, head)
+                counters = self._trace_counters
+                if counters is not None:
+                    slot = self._slot_conflicts
+                    if slot < 0:
+                        slot = self._slot_conflicts = counters.slot(
+                            "port_conflicts"
+                        )
+                    counters.values[slot] += 1
+                sink._space_waiters.append(self._wakers[output])
                 ready ^= low
             else:
                 self._grant(output, start, index, head)
@@ -227,20 +252,50 @@ class CrossbarSwitch:
         head = self.input_queues[index]._packets[0]
         sink = self.sink[output]
         if head.words > sink.capacity_words - sink._used_words:
-            self._conflict(output, sink, head)
+            # Port conflict, counted and queued as in wake_all.
+            if self._sanitizer is not None:
+                self._sanitizer.check_port_conflict(self, output, head)
+            counters = self._trace_counters
+            if counters is not None:
+                slot = self._slot_conflicts
+                if slot < 0:
+                    slot = self._slot_conflicts = counters.slot("port_conflicts")
+                counters.values[slot] += 1
+            sink._space_waiters.append(self._wakers[output])
         else:
             self._grant(output, start, index, head)
 
     def _grant(self, output: int, start: int, chosen: int, packet: Packet) -> None:
-        if self._sanitizer is not None:
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
             # Before any mutation: the grant must match the shadow
             # reference arbiter and the round-robin pointer must be fair.
-            self._sanitizer.check_arbiter_grant(self, output, start, chosen)
+            sanitizer.check_arbiter_grant(self, output, start, chosen)
         # The output turns busy with its packet on the wire before the pop,
         # whose space waiter may re-enter (and re-check) this switch.
         self._idle &= ~(1 << output)
         self.in_flight[output] = packet
-        self.input_queues[chosen].pop()
+        # SwitchInputQueue.pop, inline.  The granted packet is the head and
+        # it routed to ``output``, so ``output`` is the old head route.
+        queue = self.input_queues[chosen]
+        packets = queue._packets
+        packets.popleft()
+        queue._used_words -= packet.words
+        if sanitizer is not None:
+            sanitizer.queue_popped(queue, packet)
+        new_route = self.route_table[packets[0].destination] if packets else None
+        if new_route != output:
+            self._head_route[chosen] = new_route
+            inputs_for = self._inputs_for
+            inputs = inputs_for[output] & ~(1 << chosen)
+            inputs_for[output] = inputs
+            if not inputs:
+                self._headed &= ~(1 << output)
+            if new_route is not None:
+                inputs_for[new_route] |= 1 << chosen
+                self._headed |= 1 << new_route
+        if queue._space_waiters:
+            queue._space_waiters.popleft()()
         chosen += 1
         self.next_input[output] = chosen if chosen < self.radix else 0
         delay = packet.words * self.cycles_per_word
@@ -250,25 +305,52 @@ class CrossbarSwitch:
         # cycle can give the re-scan real work (and conflict counts) only
         # visible at dispatch time.  One engine call queues both events:
         # this is the hottest scheduling site in the machine.
-        self.engine.schedule_pair(
-            delay if delay > 0 else 1, self._finishers[output], self.wake_all
+        self._schedule_pair(
+            delay if delay > 0 else 1, self._finishers[output], self._wake_all
         )
 
-    def _conflict(self, output: int, sink: BoundedWordQueue, head: Packet) -> None:
-        # Head routed here but downstream is full: wait for space.  Every
-        # re-scan that hits the full sink counts another conflict and
-        # queues the output's one prebound waiter again.
-        if self._sanitizer is not None:
-            self._sanitizer.check_port_conflict(self, output, head)
+    def _finish_hop(self, output: int) -> None:
+        """End a transfer into the next stage's input queue.
+
+        :meth:`SwitchInputQueue.push`, inline, then the same end of
+        transfer as :meth:`_finish`.
+        """
+        packet = self.in_flight[output]
+        sink = self.sink[output]
+        words = packet.words
+        # The space was checked at the grant and this output is the
+        # queue's only writer, so this never fires.
+        if words > sink.capacity_words - sink._used_words:
+            sink._overflow(words)
+        packets = sink._packets
+        packets.append(packet)
+        sink._used_words += words
+        if sink._sanitizer is not None:
+            sink._sanitizer.queue_pushed(sink, packet)
+        downstream = sink._switch
+        if len(packets) == 1:
+            route = downstream.route_table[packet.destination]
+            downstream._head_route[sink._index] = route
+            downstream._inputs_for[route] |= sink._bit
+            downstream._headed |= 1 << route
+        if downstream._headed & downstream._idle or sink._sanitizer is not None:
+            sink._wake_all()
+        self.in_flight[output] = None
+        self._idle |= 1 << output
         counters = self._trace_counters
         if counters is not None:
-            slot = self._slot_conflicts
+            slot = self._slot_packets
             if slot < 0:
-                slot = self._slot_conflicts = counters.slot("port_conflicts")
-            counters.values[slot] += 1
-        sink._space_waiters.append(self._wakers[output])
+                slot = self._slot_packets = counters.slot("packets_forwarded")
+                self._slot_words = counters.slot("words_forwarded")
+            values = counters.values
+            values[slot] += 1
+            values[self._slot_words] += words
+        if self._inputs_for[output] or self._sanitizer is not None:
+            self.wake(output)
 
     def _finish(self, output: int) -> None:
+        """End a transfer into an exit queue (the network's last stage)."""
         # The space was checked at the grant and this output is the sink's
         # only writer, so the push cannot overflow.
         packet = self.in_flight[output]
@@ -288,7 +370,18 @@ class CrossbarSwitch:
             self.wake(output)
 
     def connect_output(self, output: int, sink: BoundedWordQueue) -> None:
-        """Wire ``output`` into a downstream queue."""
+        """Wire ``output`` into a downstream queue.
+
+        A switch input queue downstream gets the inline-push finisher; any
+        other queue (a network exit queue) is pushed through its own
+        :meth:`~BoundedWordQueue.push`.
+        """
+        finish = (
+            CrossbarSwitch._finish_hop
+            if isinstance(sink, SwitchInputQueue)
+            else CrossbarSwitch._finish
+        )
+        self._finishers[output] = partial(finish, self, output)
         self.sink[output] = sink
         self._idle |= 1 << output
 

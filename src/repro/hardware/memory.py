@@ -17,7 +17,7 @@ from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.network import OmegaNetwork
-from repro.hardware.packet import Packet, PacketKind
+from repro.hardware.packet import MAX_PACKET_WORDS, Packet, PacketKind
 from repro.hardware.queueing import BoundedWordQueue
 from repro.hardware.sync_processor import SyncProcessor
 
@@ -89,6 +89,13 @@ class MemoryModule:
         self._in_service: Optional[Packet] = None
         self.requests_served = 0
         self.busy_cycles = 0
+        #: Service cycles by request length in words, cached once: one
+        #: module cycle per data word, and one for a header-only request.
+        self._service_by_words = tuple(
+            config.module_cycle_time * max(1, words - 1)
+            for words in range(MAX_PACKET_WORDS + 1)
+        )
+        self._sync_operate_cycles = sync_config.operate_cycles
         #: The reverse-entry space waiter, bound once: a saturated reverse
         #: network re-queues it on every failed reply injection.
         self._retry_waiter = self._retry_reply
@@ -103,7 +110,9 @@ class MemoryModule:
         request = self.forward_queue.pop()
         if self._sanitizer is not None:
             self._sanitizer.memory_request(self, request)
-        service = self._service_cycles(request)
+        service = self._service_by_words[request.words]
+        if request.kind is PacketKind.SYNC_REQUEST:
+            service += self._sync_operate_cycles
         self.busy_cycles += service
         if self.trace is not None:
             now = self.engine.now
@@ -130,18 +139,21 @@ class MemoryModule:
         self._in_service = request
         self.engine.schedule_after(service, self._complete)
 
-    def _service_cycles(self, request: Packet) -> int:
-        cycles = self.config.module_cycle_time * max(1, request.payload_words or 1)
-        if request.kind is PacketKind.SYNC_REQUEST:
-            cycles += self.sync_config.operate_cycles
-        return cycles
-
     def _complete(self) -> None:
         request = self._in_service
         assert request is not None
         self._in_service = None
         self.requests_served += 1
-        reply = self._build_reply(request)
+        if request.kind is PacketKind.READ_REQUEST:
+            # request.reply(READ_REPLY, words=1, issue_cycle=now), built
+            # directly: reads are most of the traffic.
+            reply = Packet(
+                PacketKind.READ_REPLY, request.destination, request.source,
+                request.address, 1, self.engine.now, request.request_tag,
+                request.payload,
+            )
+        else:
+            reply = self._build_reply(request)
         self._busy = False
         if reply is None:
             if self._sanitizer is not None:
@@ -159,9 +171,7 @@ class MemoryModule:
         self.engine.schedule_after(1, self._retry_reply)
 
     def _build_reply(self, request: Packet) -> Optional[Packet]:
-        now = self.engine.now
-        if request.kind is PacketKind.READ_REQUEST:
-            return request.reply(PacketKind.READ_REPLY, words=1, issue_cycle=now)
+        """The reply to a WRITE or SYNC request (None for a write)."""
         if request.kind is PacketKind.WRITE_REQUEST:
             # Writes do not stall a CE (Section 2); the machine is weakly
             # ordered, so no acknowledgement packet is modelled.
@@ -178,7 +188,8 @@ class MemoryModule:
             if self._sync_handler is not None:
                 outcome = self._sync_handler(request, self.sync)
             return request.reply(
-                PacketKind.SYNC_REPLY, words=1, issue_cycle=now, payload=outcome
+                PacketKind.SYNC_REPLY, words=1, issue_cycle=self.engine.now,
+                payload=outcome,
             )
         raise SimulationError(f"module received unexpected packet {request.kind}")
 

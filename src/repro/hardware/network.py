@@ -212,7 +212,7 @@ class OmegaNetwork:
         """Offer a packet at a source port; False when the entry queue is full."""
         queue = self._entry_queues[port]
         counters = self._trace_counters
-        if not queue.can_accept(packet):
+        if packet.words > queue.capacity_words - queue._used_words:
             if counters is not None:
                 slot = self._slot_rejected
                 if slot < 0:

@@ -2,13 +2,18 @@
 
 "Each network packet consists of one to four 64-bit words, the first word
 containing routing and control information and the memory address."
+
+Every word of every request and reply is a :class:`Packet`, and each one
+crosses four or more crossbar hops, so the class is a ``__slots__`` record
+with a hand-written constructor: no instance ``__dict__``, no generated
+field machinery, and its ``packet_id`` drawn straight from a process-wide
+counter.  Equality is identity (ids are unique per construction).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 _packet_ids = itertools.count()
@@ -28,7 +33,6 @@ class PacketKind(enum.Enum):
     SYNC_REPLY = "sync-reply"
 
 
-@dataclass
 class Packet:
     """One packet travelling the forward or reverse network.
 
@@ -42,28 +46,55 @@ class Packet:
         issue_cycle: When the originator injected the packet (for latency
             measurement by the performance monitor).
         request_tag: Ties a reply back to the request (PFU slot, CE load id).
+        payload: Free-form control payload (synchronization operands,
+            outcomes).  In hardware this rides in the packet's control
+            word(s).
+        packet_id: Unique per construction, in construction order.
         payload_words: Data words carried (words - 1 header word).
     """
 
-    kind: PacketKind
-    source: int
-    destination: int
-    address: int
-    words: int = 1
-    issue_cycle: int = 0
-    request_tag: Optional[int] = None
-    #: Free-form control payload (synchronization operands, outcomes).  In
-    #: hardware this rides in the packet's control word(s).
-    payload: object = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = (
+        "kind", "source", "destination", "address", "words",
+        "issue_cycle", "request_tag", "payload", "packet_id",
+    )
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.words <= MAX_PACKET_WORDS:
+    def __init__(
+        self,
+        kind: PacketKind,
+        source: int,
+        destination: int,
+        address: int,
+        words: int = 1,
+        issue_cycle: int = 0,
+        request_tag: Optional[int] = None,
+        payload: object = None,
+    ) -> None:
+        self.kind = kind
+        self.source = source
+        self.destination = destination
+        self.address = address
+        self.words = words
+        self.issue_cycle = issue_cycle
+        self.request_tag = request_tag
+        self.payload = payload
+        # Drawn before the checks, so a rejected construction still
+        # consumes an id and the id sequence never depends on validation.
+        self.packet_id = next(_packet_ids)
+        if not 1 <= words <= MAX_PACKET_WORDS:
             raise ValueError(
-                f"packets carry 1..{MAX_PACKET_WORDS} words, got {self.words}"
+                f"packets carry 1..{MAX_PACKET_WORDS} words, got {words}"
             )
-        if self.source < 0 or self.destination < 0:
+        if source < 0 or destination < 0:
             raise ValueError("ports are non-negative indices")
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(kind={self.kind!r}, source={self.source!r}, "
+            f"destination={self.destination!r}, address={self.address!r}, "
+            f"words={self.words!r}, issue_cycle={self.issue_cycle!r}, "
+            f"request_tag={self.request_tag!r}, payload={self.payload!r}, "
+            f"packet_id={self.packet_id!r})"
+        )
 
     @property
     def payload_words(self) -> int:

@@ -73,8 +73,10 @@ class PrefetchHandle:
             raise SimulationError(f"duplicate arrival for prefetch word {index}")
         self.arrival_cycles[index] = cycle
         self._arrival_order.append(cycle)
-        for callback in self._waiters.pop(index, []):
-            callback()
+        callbacks = self._waiters.pop(index, None)
+        if callbacks is not None:
+            for callback in callbacks:
+                callback()
 
     # -- the paper's Table 2 metrics --------------------------------------
 
@@ -144,6 +146,8 @@ class PrefetchUnit:
             config.issue_interval_cycles, self._issue_next
         )
         self._sanitizer = sanitize.current()
+        #: Words per page, for the page-crossing test on every issued word.
+        self._page_words = config.page_bytes // WORD_BYTES
         self._armed: Optional[Dict[str, int]] = None
         self._active: Optional[PrefetchHandle] = None
         self._next_index = 0
@@ -207,18 +211,20 @@ class PrefetchUnit:
             return
         index = self._next_index
         address = handle.address_of(index)
-        if index > 0 and self._crosses_page(handle.address_of(index - 1), address):
+        if index > 0 and self._crosses_page(address - handle.stride, address):
             self.page_suspensions += 1
             if self._trace_counters is not None:
                 self._trace_counters.add("page_suspensions")
-            self.engine.schedule(PAGE_RESUME_CYCLES, lambda: self._issue_word(index))
+            self.engine.schedule(
+                PAGE_RESUME_CYCLES, lambda: self._issue_word(index, address)
+            )
             return
-        self._issue_word(index)
+        self._issue_word(index, address)
 
-    def _issue_word(self, index: int) -> None:
+    def _issue_word(self, index: int, address: int) -> None:
+        """Send word ``index`` of the active prefetch, at ``address``."""
         handle = self._active
         assert handle is not None
-        address = handle.address_of(index)
         tag = self._new_tag(lambda packet, i=index, h=handle: self._on_reply(h, i))
         packet = Packet(
             kind=PacketKind.READ_REQUEST,
@@ -244,18 +250,18 @@ class PrefetchUnit:
             self._release_tag(tag)
             stall_start = self.engine.now
             self._on_send_space(
-                lambda: self._retry_issue(index, stall_start)
+                lambda: self._retry_issue(index, address, stall_start)
             )
 
-    def _retry_issue(self, index: int, stall_start: int) -> None:
+    def _retry_issue(self, index: int, address: int, stall_start: int) -> None:
         stalled = self.engine.now - stall_start
         self.network_stall_cycles += stalled
         if self._trace_counters is not None:
             self._trace_counters.add("network_stall_cycles", stalled)
-        self._issue_word(index)
+        self._issue_word(index, address)
 
     def _crosses_page(self, prev_address: int, address: int) -> bool:
-        page_words = self.config.page_bytes // WORD_BYTES
+        page_words = self._page_words
         return (prev_address // page_words) != (address // page_words)
 
     # -- buffer fill -------------------------------------------------------

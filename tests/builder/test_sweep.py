@@ -1,5 +1,6 @@
 """Sweep artifacts: grid expansion, determinism, Pareto, failure capture."""
 
+import gc
 import json
 import multiprocessing
 
@@ -8,6 +9,7 @@ import pytest
 from repro.builder import expand_grid, pareto_front, render_report, run_sweep
 from repro.builder.sweep import SWEEP_SCHEMA, canonical_json, run_point
 from repro.cli import main
+from repro.hardware.crossbar import CrossbarSwitch
 
 #: A 2x2x2 grid of tiny (fast-to-simulate) machines: 8 valid points.
 GRID_AXES = {
@@ -56,6 +58,21 @@ class TestRunPoint:
     def test_unknown_field_is_captured_not_raised(self):
         record = run_point({"num_modules": 8}, blocks=BLOCKS)
         assert record["error"]["field"] == "num_modules"
+
+    def test_point_frees_its_machines(self):
+        """A point's machines are cyclic garbage once it returns; the point
+        collects them, so no switch of theirs outlives it."""
+
+        def switches():
+            return sum(
+                isinstance(obj, CrossbarSwitch) for obj in gc.get_objects()
+            )
+
+        gc.collect()
+        before = switches()
+        record = run_point({"memory_modules": 4, "clusters": 1}, blocks=BLOCKS)
+        assert "metrics" in record
+        assert switches() == before
 
 
 class TestSweepArtifact:

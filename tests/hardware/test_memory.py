@@ -1,10 +1,17 @@
 """Tests for the interleaved global-memory modules."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.hardware.ce import GlobalLoads, GlobalStores, SyncInstruction
+from repro.hardware.engine import Engine
 from repro.hardware.machine import CedarMachine
-from repro.hardware.memory import module_for_address
+from repro.hardware.memory import MemoryModule, module_for_address
+from repro.hardware.network import OmegaNetwork
+from repro.hardware.packet import Packet, PacketKind
+from repro.hardware.queueing import BoundedWordQueue
 from repro.hardware.sync_processor import OperateOp
 from repro.hardware.sync_processor import TestOp as SyncTestOp
 
@@ -52,6 +59,57 @@ class TestModuleService:
         module = machine.global_memory.modules[0]
         assert module.requests_served == 4
         assert module.busy_cycles >= 4 * machine.config.global_memory.module_cycle_time
+
+
+class TestServiceTime:
+    """Busy cycles per request: one module cycle per data word, at least
+    one, plus the synchronization processor's operate cycles for SYNC."""
+
+    CYCLE = 5  # not the default, so the formula's factor is visible
+
+    def _module(self):
+        engine = Engine()
+        config = replace(DEFAULT_CONFIG.global_memory, module_cycle_time=self.CYCLE)
+        reverse = OmegaNetwork(engine, 32, DEFAULT_CONFIG.network, name="rev")
+        forward = BoundedWordQueue(8, name="fwd")
+        module = MemoryModule(
+            engine=engine, index=0, config=config,
+            sync_config=DEFAULT_CONFIG.sync, forward_queue=forward,
+            reverse=reverse,
+        )
+        return engine, forward, reverse, module
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind",
+        [PacketKind.READ_REQUEST, PacketKind.WRITE_REQUEST, PacketKind.SYNC_REQUEST],
+    )
+    def test_busy_cycles_per_request(self, kind, words):
+        engine, forward, _, module = self._module()
+        expected = self.CYCLE * max(1, words - 1)
+        if kind is PacketKind.SYNC_REQUEST:
+            expected += DEFAULT_CONFIG.sync.operate_cycles
+        for served in (1, 2):
+            forward.push(Packet(kind, source=served, destination=0, address=0, words=words))
+            engine.run_until_idle()
+            assert module.requests_served == served
+            assert module.busy_cycles == served * expected
+
+    def test_read_reply_answers_the_request(self):
+        engine, forward, reverse, _ = self._module()
+        request = Packet(
+            PacketKind.READ_REQUEST, source=6, destination=0, address=96,
+            words=1, request_tag=17, payload="ctl",
+        )
+        forward.push(request)
+        engine.run_until_idle()
+        reply = reverse.delivery_queue(6).pop()
+        assert reply.kind is PacketKind.READ_REPLY
+        assert (reply.source, reply.destination) == (0, 6)
+        assert (reply.address, reply.words) == (96, 1)
+        assert (reply.request_tag, reply.payload) == (17, "ctl")
+        assert reply.issue_cycle == self.CYCLE
+        assert reply.packet_id > request.packet_id
 
 
 class TestSyncThroughMemory:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG, NetworkConfig
 from repro.errors import ConfigurationError
+from repro.hardware.crossbar import CrossbarSwitch, SwitchInputQueue
 from repro.hardware.engine import Engine
 from repro.hardware.network import OmegaNetwork, _digit, _with_digit
 from repro.hardware.packet import Packet, PacketKind
@@ -49,6 +50,27 @@ class TestTopology:
         engine = Engine()
         with pytest.raises(ConfigurationError):
             OmegaNetwork(engine, 1, DEFAULT_CONFIG.network)
+
+    @pytest.mark.parametrize("radix", [2, 4, 8])
+    def test_finisher_per_output(self, radix):
+        """Outputs feeding the next stage push inline; last-stage outputs
+        feed exit queues through the queue's own push."""
+        config = NetworkConfig(switch_radix=radix)
+        network = OmegaNetwork(Engine(), 32, config, name="t")
+        last = network.num_stages - 1
+        assert last >= 1
+        for stage, row in enumerate(network.stages):
+            expected = (
+                CrossbarSwitch._finish if stage == last
+                else CrossbarSwitch._finish_hop
+            )
+            for switch in row:
+                for output, finisher in enumerate(switch._finishers):
+                    assert finisher.func is expected
+                    assert finisher.args == (switch, output)
+                    assert isinstance(switch.sink[output], SwitchInputQueue) == (
+                        stage < last
+                    )
 
     def test_switch_line_mapping_inverse(self):
         _, network = make_network(32)

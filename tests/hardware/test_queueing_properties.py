@@ -122,3 +122,68 @@ class TestRandomInterleavings:
                 0b100 if expected == output else 0 for output in range(4)
             ]
             assert switch._headed == (0 if expected is None else 1 << expected)
+
+
+#: A mixed stream on one 4x4 switch: pushes into any input (routed by
+#: destination), direct pops of an input queue, pops that drain a sink
+#: (whose space waiter re-scans an output and may grant), and engine
+#: runs (transfers end and the switch re-scans).
+switch_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"), st.integers(0, 3), st.integers(0, 3),
+            st.integers(1, 4),
+        ),
+        st.tuples(st.just("pop"), st.integers(0, 3)),
+        st.tuples(st.just("drain"), st.integers(0, 3)),
+        st.tuples(st.just("run"),),
+    ),
+    max_size=60,
+)
+
+
+class TestGrantAndPopShareOneMaskRule:
+    @settings(max_examples=60, deadline=None)
+    @given(sequence=switch_ops)
+    def test_direct_pops_and_grants_keep_the_masks(self, sequence):
+        """A grant pops its input queue inline; ``SwitchInputQueue.pop`` is
+        the other copy of the same head-route mask update.  Interleaving
+        both on one switch with the sanitizer armed proves they agree:
+        every scan re-derives the masks from the real queue heads."""
+        with sanitize.sanitizing() as sanitizer:
+            engine = Engine()
+            switch = CrossbarSwitch(
+                engine, radix=4, route_table=(0, 1, 2, 3),
+                queue_words=4, name="mixed",
+            )
+            sinks = [BoundedWordQueue(4, name=f"sink{o}") for o in range(4)]
+            for output, sink in enumerate(sinks):
+                switch.connect_output(output, sink)
+            pushed = popped = drained = 0
+            for op, *args in sequence:
+                if op == "push":
+                    index, destination, words = args
+                    queue = switch.input_queues[index]
+                    packet = _packet(words, destination=destination)
+                    if queue.can_accept(packet):
+                        queue.push(packet)
+                        pushed += 1
+                elif op == "pop":
+                    queue = switch.input_queues[args[0]]
+                    if len(queue):
+                        queue.pop()
+                        popped += 1
+                elif op == "drain":
+                    sink = sinks[args[0]]
+                    if len(sink):
+                        sink.pop()
+                        drained += 1
+                else:
+                    engine.run_until_idle()
+                sanitizer.check_crossbar_masks(switch)
+            engine.run_until_idle()
+            sanitizer.check_crossbar_masks(switch)
+        queued = sum(len(queue) for queue in switch.input_queues)
+        buffered = sum(len(sink) for sink in sinks)
+        assert pushed == popped + drained + queued + buffered
+        assert sanitizer.violations == 0
