@@ -24,31 +24,11 @@ on:
   (``cedar-repro run table1`` ... ``figure3`` ... ``ppt4``).
 """
 
-from repro.config import CedarConfig, DEFAULT_CONFIG
-from repro.core import (
-    Band,
-    classify_efficiency,
-    classify_speedup,
-    instability,
-    stability,
-)
-from repro.hardware.machine import CedarMachine
-from repro.model.machine_model import CedarMachineModel
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-from repro.version import version_fingerprint  # noqa: E402  (needs __version__)
-
-__all__ = [
-    "version_fingerprint",
-    "CedarConfig",
-    "DEFAULT_CONFIG",
-    "CedarMachine",
-    "CedarMachineModel",
-    "Band",
-    "classify_efficiency",
-    "classify_speedup",
-    "stability",
-    "instability",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.core.bands": ["classify_speedup"]}
+)
+__all__.append("__version__")

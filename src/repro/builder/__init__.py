@@ -17,28 +17,18 @@ MFLOPS, speedup, and network conflicts -- the ``cedar-repro sweep``
 subcommand.
 """
 
-from repro.builder.elaborate import build, build_config, describe
-from repro.builder.spec import CEDAR_SPEC, MachineSpec
-from repro.builder.sweep import (
-    SWEEP_SCHEMA,
-    expand_grid,
-    pareto_front,
-    render_report,
-    run_sweep,
-)
-from repro.builder.workload import SweepMetrics, measure_spec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CEDAR_SPEC",
-    "MachineSpec",
-    "SWEEP_SCHEMA",
-    "SweepMetrics",
-    "build",
-    "build_config",
-    "describe",
-    "expand_grid",
-    "measure_spec",
-    "pareto_front",
-    "render_report",
-    "run_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.builder.elaborate": ["build", "build_config", "describe"],
+        "repro.builder.spec": ["CEDAR_SPEC", "MachineSpec"],
+        "repro.builder.sweep": [
+            "expand_grid",
+            "pareto_front",
+            "render_report",
+            "run_sweep",
+        ],
+    },
+)

@@ -57,21 +57,13 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro import results as results_mod
 from repro.errors import BenchError, LintError, WorkerCrashError
 from repro.experiments.registry import EXPERIMENTS, QUICK_EXPERIMENTS
-from repro.hardware import sanitize
-from repro.metrics import bench as bench_mod
-from repro.parallel import parallel_map
-from repro.partition import profile_top_from_stats, run_partitioned
-from repro.trace import (
-    TraceMerger,
-    Tracer,
-    tracing,
-    utilization_report,
-    write_chrome_trace,
-)
-from repro.version import version_fingerprint
+from repro.metrics.headline import DEFAULT_TOLERANCES
+
+# Each subcommand imports what it runs inside its handler, so `--help`,
+# `list` or one `run` loads no other command's modules (DESIGN.md,
+# "Cold start and the import graph").
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="REL",
         help="relative tolerance before fidelity drift hard-fails "
-        f"(default {bench_mod.DEFAULT_TOLERANCES['fidelity']:g})",
+        f"(default {DEFAULT_TOLERANCES['fidelity']:g})",
     )
     bench.add_argument(
         "--machine-tolerance",
@@ -275,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="REL",
         help="relative tolerance for simulated-machine metrics "
-        f"(default {bench_mod.DEFAULT_TOLERANCES['machine']:g})",
+        f"(default {DEFAULT_TOLERANCES['machine']:g})",
     )
     bench.add_argument(
         "--profile-tolerance",
@@ -283,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="REL",
         help="relative tolerance before throughput drift warns "
-        f"(default {bench_mod.DEFAULT_TOLERANCES['self_profile']:g})",
+        f"(default {DEFAULT_TOLERANCES['self_profile']:g})",
     )
     bench.add_argument(
         "--strict",
@@ -479,6 +471,9 @@ def _run_record(
     byte-identical inputs; the ``partition`` block appears only for
     ``--partitions`` runs.
     """
+    from repro import results as results_mod
+    from repro.partition import profile_top_from_stats, run_partitioned
+
     key, partitions, sanitized, traced, profiled, top = task
     run = run_partitioned(
         key,
@@ -509,6 +504,8 @@ def _write_merged_trace(
     keys: List[str], traces: Dict[str, Optional[bytes]], path: str
 ) -> None:
     """Merge per-experiment buffers in key order; write one Chrome trace."""
+    from repro.trace import TraceMerger, write_chrome_trace
+
     merger = TraceMerger()
     for key in keys:
         buffer = traces.get(key)
@@ -542,6 +539,11 @@ def _partition_telemetry_lines(key: str, telemetry: Dict[str, object]) -> List[s
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.hardware import sanitize
+    from repro.parallel import parallel_map
+    import repro.partition  # noqa: F401  (once here, not in each --jobs worker)
+    from repro.version import version_fingerprint
+
     if "all" in args.experiments:
         keys = sorted(EXPERIMENTS)
     else:
@@ -710,6 +712,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.partition import run_partitioned
+    from repro.trace import Tracer, tracing, utilization_report, write_chrome_trace
+
     if args.experiment not in EXPERIMENTS:
         return _unknown_experiment(args.experiment)
     if args.out:
@@ -737,6 +742,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.metrics import bench as bench_mod
+
     if args.experiments and args.quick:
         print("give either experiment keys or --quick, not both", file=sys.stderr)
         return 2

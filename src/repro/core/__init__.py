@@ -1,61 +1,11 @@
 """The paper's evaluation methodology (Section 4.3, "Judging Parallelism").
 
 This package is the most portable contribution of the Cedar paper: abstract
-performance metrics (speedup, efficiency, MFLOPS), the stability/instability
-measure ``St(P, N, K, e)``, the high / intermediate / unacceptable performance
-bands at ``P/2`` and ``P/(2 log2 P)``, and the five Practical Parallelism
-Tests (PPT1-PPT5) with report generators.
+performance metrics (speedup, efficiency, MFLOPS) in
+:mod:`repro.core.metrics`, the stability/instability measure
+``St(P, N, K, e)`` in :mod:`repro.core.stability`, the high / intermediate /
+unacceptable performance bands at ``P/2`` and ``P/(2 log2 P)`` in
+:mod:`repro.core.bands`, and the five Practical Parallelism Tests
+(PPT1-PPT5) with report generators in :mod:`repro.core.ppt` and
+:mod:`repro.core.report`.
 """
-
-from repro.core.bands import Band, band_thresholds, classify_efficiency, classify_speedup
-from repro.core.metrics import (
-    CodeResult,
-    Ensemble,
-    efficiency,
-    harmonic_mean,
-    mflops,
-    speedup,
-)
-from repro.core.ppt import (
-    PPT1Result,
-    PPT2Result,
-    PPT3Result,
-    PPT4Result,
-    PracticalParallelismReport,
-    evaluate_ppt1,
-    evaluate_ppt2,
-    evaluate_ppt3,
-    evaluate_ppt4,
-)
-from repro.core.stability import (
-    StabilityResult,
-    instability,
-    minimal_exclusions_for_stability,
-    stability,
-)
-
-__all__ = [
-    "Band",
-    "band_thresholds",
-    "classify_efficiency",
-    "classify_speedup",
-    "CodeResult",
-    "Ensemble",
-    "efficiency",
-    "harmonic_mean",
-    "mflops",
-    "speedup",
-    "StabilityResult",
-    "stability",
-    "instability",
-    "minimal_exclusions_for_stability",
-    "PPT1Result",
-    "PPT2Result",
-    "PPT3Result",
-    "PPT4Result",
-    "PracticalParallelismReport",
-    "evaluate_ppt1",
-    "evaluate_ppt2",
-    "evaluate_ppt3",
-    "evaluate_ppt4",
-]

@@ -5,6 +5,8 @@ Each module exposes ``run()`` returning a structured result and
 paper's artifact ids to them for :mod:`repro.cli`.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro._exports import lazy_exports
 
-__all__ = ["EXPERIMENTS", "get_experiment"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.experiments.registry": ["EXPERIMENTS", "get_experiment"]}
+)

@@ -4,28 +4,18 @@ Each entry also declares the experiment's *headline metrics* -- the
 numbers that are the table or figure, paired with the paper-quoted targets
 where the scan is legible -- which `cedar-repro bench` snapshots as the
 fidelity section of ``BENCH_<n>.json``.
+
+The registry names each driver module and imports it on first use, so
+listing the experiments, or running one of them, loads no other driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable, Dict, List, Optional
 
 from repro.metrics.headline import HeadlineMetric
-
-from repro.experiments import (
-    figure3,
-    network_ablation,
-    ppt4_scalability,
-    ppt5_scaling,
-    restructuring,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
 
 
 def _no_headline(result: object) -> List[HeadlineMetric]:
@@ -54,103 +44,97 @@ class Experiment:
     units: Optional[Callable[[], List[str]]] = None
     run_unit: Optional[Callable[[str], object]] = None
     combine: Optional[Callable[[Dict[str, object]], object]] = None
+    #: The driver module the callables live in, imported on first call;
+    #: ``None`` for an entry built from plain callables.
+    module: Optional[str] = None
+
+    def load(self) -> None:
+        """Import the driver module now: a process about to fork workers
+        that run this experiment loads it once, not once per worker."""
+        if self.module is not None:
+            import_module(self.module)
+
+
+def _driver(
+    key: str, module: str, description: str, quick: bool = False,
+    partitioned: bool = False,
+) -> Experiment:
+    """An entry whose callables are ``repro.experiments.<module>``'s
+    functions, imported on first call."""
+    path = f"repro.experiments.{module}"
+
+    def function(name: str) -> Callable:
+        def call(*args):
+            return getattr(import_module(path), name)(*args)
+
+        return call
+
+    parts = ("units", "run_unit", "combine") if partitioned else ()
+    return Experiment(
+        key,
+        description,
+        function("run"),
+        function("render"),
+        function("headline_metrics"),
+        quick=quick,
+        module=path,
+        **{name: function(name) for name in parts},
+    )
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
     e.key: e
     for e in (
-        Experiment(
-            "table1",
+        _driver(
+            "table1", "table1",
             "MFLOPS for rank-64 update (GM/no-pref, GM/pref, GM/cache)",
-            table1.run,
-            table1.render,
-            table1.headline_metrics,
-            units=table1.units,
-            run_unit=table1.run_unit,
-            combine=table1.combine,
+            partitioned=True,
         ),
-        Experiment(
-            "table2",
+        _driver(
+            "table2", "table2",
             "Global memory latency/interarrival for VL/TM/RK/CG",
-            table2.run,
-            table2.render,
-            table2.headline_metrics,
-            units=table2.units,
-            run_unit=table2.run_unit,
-            combine=table2.combine,
+            partitioned=True,
         ),
-        Experiment(
-            "table3",
+        _driver(
+            "table3", "table3",
             "Perfect Benchmarks: times, MFLOPS, speed improvements",
-            table3.run,
-            table3.render,
-            table3.headline_metrics,
             quick=True,
         ),
-        Experiment(
-            "table4",
-            "Manually optimized Perfect codes",
-            table4.run,
-            table4.render,
-            table4.headline_metrics,
-            quick=True,
+        _driver(
+            "table4", "table4", "Manually optimized Perfect codes", quick=True
         ),
-        Experiment(
-            "table5",
+        _driver(
+            "table5", "table5",
             "Instability In(13, e) on Cedar, Cray 1, Y-MP/8",
-            table5.run,
-            table5.render,
-            table5.headline_metrics,
             quick=True,
         ),
-        Experiment(
-            "table6",
-            "Restructuring efficiency bands (PPT3)",
-            table6.run,
-            table6.render,
-            table6.headline_metrics,
+        _driver(
+            "table6", "table6", "Restructuring efficiency bands (PPT3)",
             quick=True,
         ),
-        Experiment(
-            "figure3",
+        _driver(
+            "figure3", "figure3",
             "YMP/8 vs Cedar efficiency scatter (manual codes)",
-            figure3.run,
-            figure3.render,
-            figure3.headline_metrics,
             quick=True,
         ),
-        Experiment(
-            "ppt4",
+        _driver(
+            "ppt4", "ppt4_scalability",
             "Scalability: Cedar CG vs CM-5 banded matvec",
-            ppt4_scalability.run,
-            ppt4_scalability.render,
-            ppt4_scalability.headline_metrics,
-            units=ppt4_scalability.units,
-            run_unit=ppt4_scalability.run_unit,
-            combine=ppt4_scalability.combine,
+            partitioned=True,
         ),
-        Experiment(
-            "ppt5",
+        _driver(
+            "ppt5", "ppt5_scaling",
             "Scaled-up Cedar reimplementation study (the deferred PPT5)",
-            ppt5_scaling.run,
-            ppt5_scaling.render,
-            ppt5_scaling.headline_metrics,
             quick=True,
         ),
-        Experiment(
-            "restructuring",
+        _driver(
+            "restructuring", "restructuring",
             "KAP-1988 vs automatable restructurer on a loop-nest gallery",
-            restructuring.run,
-            restructuring.render,
-            restructuring.headline_metrics,
             quick=True,
         ),
-        Experiment(
-            "network-ablation",
+        _driver(
+            "network-ablation", "network_ablation",
             "Degradation vs implementation constraints [Turn93]",
-            network_ablation.run,
-            network_ablation.render,
-            network_ablation.headline_metrics,
             quick=True,
         ),
     )

@@ -21,8 +21,3 @@ The package models the machine bottom-up:
 * :mod:`repro.hardware.monitor` -- event tracers and histogrammers.
 * :mod:`repro.hardware.machine` -- the four-cluster Cedar assembly.
 """
-
-from repro.hardware.engine import Engine
-from repro.hardware.machine import CedarMachine
-
-__all__ = ["Engine", "CedarMachine"]

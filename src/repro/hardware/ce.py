@@ -318,7 +318,7 @@ class ComputationalElement:
                 # One element per cycle once the datum is in the buffer.
                 state["index"] = index + 1
                 state["ready_at"] = max(state["ready_at"], self.engine.now) + 1
-                self.engine.schedule(0, step)
+                self.engine.schedule_after(0, step)  # in dispatch: no checks
             else:
                 handle.wait_for_word(index, step)
 
@@ -371,8 +371,10 @@ class ComputationalElement:
             # CE-side portion of the 13-cycle latency and holds the request
             # slot: without a prefetch buffer the CE is throughput-bound at
             # max_outstanding words per 13 cycles (the GM/no-pref regime).
-            self.engine.schedule(
-                self.config.global_memory.ce_buffer_cycles, lambda: landed()
+            # Replies arrive inside dispatch and the delay is a config int,
+            # so the unchecked entry point serves (the sanitizer re-checks).
+            self.engine.schedule_after(
+                self.config.global_memory.ce_buffer_cycles, landed
             )
 
         def landed() -> None:

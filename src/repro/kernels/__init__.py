@@ -18,28 +18,3 @@ characterization benchmarks (:mod:`repro.kernels.memory_characterization`)
 and the [ZhYe87] DOACROSS dependence-enforcement demonstration
 (:mod:`repro.kernels.doacross`).
 """
-
-from repro.kernels.common import KernelRun, MeasuredKernel, run_measured
-from repro.kernels.conjugate_gradient import cg_kernel, measure_cg
-from repro.kernels.rank_update import (
-    RankUpdateVersion,
-    measure_rank_update,
-    rank_update_kernel,
-)
-from repro.kernels.tridiag_matvec import measure_tridiag, tridiag_kernel
-from repro.kernels.vector_load import measure_vector_load, vector_load_kernel
-
-__all__ = [
-    "KernelRun",
-    "MeasuredKernel",
-    "run_measured",
-    "RankUpdateVersion",
-    "rank_update_kernel",
-    "measure_rank_update",
-    "vector_load_kernel",
-    "measure_vector_load",
-    "tridiag_kernel",
-    "measure_tridiag",
-    "cg_kernel",
-    "measure_cg",
-]

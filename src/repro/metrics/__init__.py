@@ -12,65 +12,22 @@
   regression comparator behind ``cedar-repro bench``.
 """
 
-from repro.metrics.headline import HeadlineMetric, slugify
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    flat_series_name,
-)
-from repro.metrics.collector import (
-    MonitorCatcher,
-    collect_monitor,
-    collect_sanitizer,
-    collect_tracer,
-)
-from repro.metrics.export import (
-    jsonl_lines,
-    parse_prometheus,
-    prometheus_text,
-    write_jsonl,
-)
-from repro.metrics.bench import (
-    DEFAULT_TOLERANCES,
-    Finding,
-    RegressionReport,
-    bench_experiment,
-    build_snapshot,
-    compare_snapshots,
-    existing_snapshots,
-    latest_snapshot_path,
-    load_snapshot,
-    next_snapshot_index,
-    save_snapshot,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HeadlineMetric",
-    "slugify",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "flat_series_name",
-    "MonitorCatcher",
-    "collect_monitor",
-    "collect_sanitizer",
-    "collect_tracer",
-    "jsonl_lines",
-    "parse_prometheus",
-    "prometheus_text",
-    "write_jsonl",
-    "DEFAULT_TOLERANCES",
-    "Finding",
-    "RegressionReport",
-    "bench_experiment",
-    "build_snapshot",
-    "compare_snapshots",
-    "existing_snapshots",
-    "latest_snapshot_path",
-    "load_snapshot",
-    "next_snapshot_index",
-    "save_snapshot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.registry": ["MetricsRegistry", "flat_series_name"],
+        "repro.metrics.collector": [
+            "MonitorCatcher",
+            "collect_monitor",
+            "collect_tracer",
+        ],
+        "repro.metrics.export": [
+            "jsonl_lines",
+            "parse_prometheus",
+            "prometheus_text",
+            "write_jsonl",
+        ],
+    },
+)

@@ -36,9 +36,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import BenchError
+from repro.experiments.registry import get_experiment
 from repro.metrics.collector import MonitorCatcher, collect_tracer
+from repro.metrics.headline import DEFAULT_TOLERANCES
 from repro.metrics.registry import MetricsRegistry
 from repro.parallel import parallel_map
+from repro.partition import run_partitioned
 from repro.trace import Tracer, tracing
 from repro.version import version_fingerprint
 
@@ -46,15 +49,6 @@ SCHEMA = "cedar-repro-bench"
 SCHEMA_VERSION = 1
 
 _SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-#: (relative tolerance, severity, direction) per metric class.  Direction
-#: ``0`` flags movement either way; ``+1`` flags decreases (higher is
-#: better); ``-1`` flags increases (lower is better).
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "fidelity": 1e-6,
-    "machine": 1e-6,
-    "self_profile": 0.5,
-}
 
 #: Which self-profile series are compared, and which way is worse.
 _PROFILE_DIRECTION: Dict[str, int] = {
@@ -83,11 +77,6 @@ def bench_experiment(key: str, trace: bool = True) -> Dict[str, object]:
     path); fidelity metrics are computed from the result alone, so the
     section is still complete minus the bus-derived machine series.
     """
-    # Imported here, not at module top: experiments.registry imports
-    # repro.metrics.headline, so a top-level import would be circular.
-    from repro.experiments.registry import get_experiment
-    from repro.partition import run_partitioned
-
     experiment = get_experiment(key)
     tracer = Tracer(enabled=trace)
     catcher = MonitorCatcher(tracer)
@@ -163,9 +152,6 @@ def partitioned_profile(
     their exact counter totals.  Either way fidelity and machine sections
     still come from the normal run and cannot drift.
     """
-    from repro.experiments.registry import get_experiment
-    from repro.partition import run_partitioned
-
     if get_experiment(key).units is None:
         return None
     run = run_partitioned(
@@ -232,8 +218,6 @@ def build_snapshot(
             experiments[key] = bench_experiment(key, trace=trace)
             gc.collect()  # bound memory between experiments, outside timing
     if partitions is not None and partitions > 1:
-        from repro.experiments.registry import get_experiment
-
         for key in keys:
             if get_experiment(key).units is None:
                 continue

@@ -17,6 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+#: Relative drift ``cedar-repro bench`` allows per snapshot section before
+#: it reports a finding (fidelity and machine drift fail, self-profile
+#: drift warns).  Defined here, not in :mod:`repro.metrics.bench`, so the
+#: CLI can quote them in its help without importing the bench harness.
+DEFAULT_TOLERANCES: Dict[str, float] = {
+    "fidelity": 1e-6,
+    "machine": 1e-6,
+    "self_profile": 0.5,
+}
+
 
 @dataclass(frozen=True)
 class HeadlineMetric:

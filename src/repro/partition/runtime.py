@@ -284,6 +284,10 @@ def run_partitioned(
     from repro.parallel import parallel_map
 
     instrumented = instrumented or traced
+    experiment = get_experiment(key)
+    # Import the driver before the clock starts and before shards fork:
+    # telemetry times the run, and each shard inherits the module.
+    experiment.load()
     units = [WHOLE_UNIT] if partitions is None else plan_units(key)
     shards = shard_units(units, 1 if partitions is None else partitions)
     outputs: Dict[int, Dict[str, object]] = {}
@@ -309,7 +313,6 @@ def run_partitioned(
             outputs[index_of[task_key]] = output
     total_wall = time.perf_counter() - began
 
-    experiment = get_experiment(key)
     unit_results: Dict[str, object] = {}
     unit_summaries: Dict[str, Dict[str, object]] = {}
     unit_traces: Dict[str, bytes] = {}

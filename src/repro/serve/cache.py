@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 _KEY_HEX = set("0123456789abcdef")
 
@@ -28,8 +28,16 @@ class ResultCache:
     def __init__(self, directory: Optional[str] = None) -> None:
         self.directory = directory
         self._memory: Dict[str, bytes] = {}
+        #: Every known content address: the spill directory is listed once,
+        #: here, then ``put`` and disk hits keep the set current, so
+        #: ``len()`` (``/healthz``) never lists the directory again.
+        self._known: Set[str] = set()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
+            for name in sorted(os.listdir(directory)):
+                stem, ext = os.path.splitext(name)
+                if ext == ".json" and stem and set(stem) <= _KEY_HEX:
+                    self._known.add(stem)
 
     def _path(self, key: str) -> str:
         assert self.directory is not None
@@ -46,11 +54,13 @@ class ResultCache:
             except OSError:
                 return None
             self._memory[key] = body
+            self._known.add(key)
             return body
         return None
 
     def put(self, key: str, body: bytes) -> None:
         self._memory[key] = body
+        self._known.add(key)
         if self.directory is not None:
             handle, temp_path = tempfile.mkstemp(
                 prefix=".put-", dir=self.directory
@@ -70,14 +80,8 @@ class ResultCache:
         return self.get(key) is not None
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return len(self._known)
 
     def keys(self) -> List[str]:
         """Every known content address (memory plus spill directory)."""
-        known = set(self._memory)
-        if self.directory is not None:
-            for name in sorted(os.listdir(self.directory)):
-                stem, ext = os.path.splitext(name)
-                if ext == ".json" and stem and set(stem) <= _KEY_HEX:
-                    known.add(stem)
-        return sorted(known)
+        return sorted(self._known)

@@ -39,7 +39,7 @@ from repro.parallel import run_in_process
 from repro.serve.cache import ResultCache
 from repro.serve.coalesce import Coalescer
 from repro.serve.schema import JobRequest, cache_key
-from repro.serve.worker import execute_job
+from repro.serve.worker import execute_job, preload
 from repro.version import version_fingerprint
 
 #: Default bound on jobs waiting for a worker (409 more would mean the
@@ -174,6 +174,8 @@ class JobRegistry:
         self._order: List[str] = []
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue(maxsize=queue_limit)
         self._coalescer = Coalescer()
+        if execute is None:
+            preload()  # job workers fork with the whole job path loaded
         self._execute = execute or self._execute_in_worker_process
         self._threads = ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="cedar-serve-job"

@@ -130,6 +130,22 @@ class ProgressTracer(Tracer):
             )
 
 
+def preload() -> None:
+    """Import the whole job path, once, before the first job worker starts.
+
+    Job workers are forked from the server, so everything imported here is
+    already loaded in each of them: a cold miss pays for its simulation,
+    not for imports.  The path is every experiment driver, the builder a
+    ``spec`` config elaborates through, and the executor.
+    """
+    from repro.builder import MachineSpec, build_config  # noqa: F401
+    from repro.experiments.registry import EXPERIMENTS
+    from repro.partition import run_partitioned  # noqa: F401
+
+    for experiment in EXPERIMENTS.values():
+        experiment.load()
+
+
 def build_record(
     experiment_key: str,
     config: Dict[str, object],

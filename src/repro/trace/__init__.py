@@ -17,38 +17,26 @@ either a plain-text utilization report or Chrome trace-event JSON
   (accept a live tracer or any snapshot).
 """
 
-from repro.trace.columnar import ColumnarStore, StringTable, TraceSnapshot
-from repro.trace.merge import TraceMerger
-from repro.trace.tracer import (
-    CounterSample,
-    CounterSet,
-    Instant,
-    Span,
-    Tracer,
-    current_tracer,
-    tracing,
-)
-from repro.trace.export import (
-    chrome_trace_events,
-    chrome_trace_json,
-    utilization_report,
-    write_chrome_trace,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ColumnarStore",
-    "CounterSample",
-    "CounterSet",
-    "Instant",
-    "Span",
-    "StringTable",
-    "TraceMerger",
-    "TraceSnapshot",
-    "Tracer",
-    "current_tracer",
-    "tracing",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "utilization_report",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.columnar": ["ColumnarStore", "StringTable", "TraceSnapshot"],
+        "repro.trace.merge": ["TraceMerger"],
+        "repro.trace.tracer": [
+            "CounterSample",
+            "Instant",
+            "Span",
+            "Tracer",
+            "current_tracer",
+            "tracing",
+        ],
+        "repro.trace.export": [
+            "chrome_trace_events",
+            "chrome_trace_json",
+            "utilization_report",
+            "write_chrome_trace",
+        ],
+    },
+)

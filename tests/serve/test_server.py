@@ -12,6 +12,7 @@ submissions cost exactly one simulation.
 import asyncio
 import concurrent.futures
 import json
+import os
 import threading
 import time
 
@@ -110,6 +111,32 @@ def wait_for(predicate, timeout=10):
     while not predicate():
         assert time.monotonic() < deadline, "condition never became true"
         time.sleep(0.01)
+
+
+class TestHealthzCost:
+    def test_healthz_never_lists_the_spill_directory(self, tmp_path, monkeypatch):
+        """The spill directory is listed once, when the cache is built: 100
+        ``/healthz`` calls list it 0 times and see the spilled entries."""
+        spilled = ResultCache(str(tmp_path))
+        spilled.put("a" * 64, b"1")
+        spilled.put("b" * 64, b"2")
+        registry = JobRegistry(
+            ResultCache(str(tmp_path)), MetricsRegistry(), jobs=1,
+            execute=StubExecutor(),
+        )
+        listed = []
+        real_listdir = os.listdir
+
+        def counting_listdir(*args):
+            listed.append(args)
+            return real_listdir(*args)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        with ServerThread(registry=registry) as server:
+            client = server.client
+            counts = {client.healthz()["cached_results"] for _ in range(100)}
+        assert counts == {2}
+        assert listed == []
 
 
 class TestHttpBasics:

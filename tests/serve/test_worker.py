@@ -2,6 +2,10 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,56 @@ class TestSpecOverride:
 
     def test_override_does_not_leak_out_of_a_sharded_job(self, monkeypatch):
         self._check_override_does_not_leak(monkeypatch, partitions=2)
+
+
+class TestPreloadBeforeFork:
+    """Serve imports the whole job path before its first job worker forks."""
+
+    SERVE_EXPERIMENTS = (
+        "table3", "table4", "table5", "table6", "figure3", "restructuring",
+    )
+
+    def test_forked_jobs_import_nothing(self):
+        """A fresh interpreter runs serve's start-up import step, then forks
+        a job worker that runs every serve experiment with a ``spec``
+        config and two partitions: the worker must import no module."""
+        _fork_only()
+        script = f"""
+import json, os, sys
+from repro.serve.schema import canonical_config
+from repro.serve.worker import execute_job, preload
+
+preload()
+config = canonical_config({{"partitions": 2, "spec": {{"memory_modules": 16}}}})
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    report = {{"error": "the job worker did not finish"}}
+    try:
+        before = set(sys.modules)
+        for key in {self.SERVE_EXPERIMENTS!r}:
+            execute_job({{"experiment": key, "config": config}}, lambda data: None)
+        report = {{"added": sorted(
+            name for name in set(sys.modules) - before
+            if name.split(".")[0] == "repro"
+        )}}
+    except Exception as error:
+        report = {{"error": repr(error)}}
+    finally:
+        os.write(write_end, json.dumps(report).encode())
+        os._exit(0)
+os.close(write_end)
+with os.fdopen(read_end, "rb") as stream:
+    body = stream.read()
+os.waitpid(pid, 0)
+print(body.decode())
+"""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("CEDAR_SANITIZE", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=str(root), env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {"added": []}, report
