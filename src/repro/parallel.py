@@ -6,14 +6,19 @@ tier's job execution.  Three properties matter and the stock pool gives
 none of them:
 
 * **A worker exception surfaces as a structured error.**  The child
-  catches everything, ships ``(experiment, repr, traceback)`` back, and
-  the parent raises :class:`~repro.errors.WorkerCrashError` carrying the
-  experiment key -- not a pickled traceback proxy of unknown type.
-* **A dead worker surfaces instead of wedging the queue.**  If a child is
-  killed (OOM, segfault in an extension, ``os._exit``) before reporting,
-  ``Pool.imap_unordered`` waits forever for a result that will never
-  come.  Here the parent polls child liveness whenever the result queue
-  is idle and raises :class:`WorkerCrashError` with the exit code.
+  catches everything, ships ``(repr, traceback)`` back, and the parent
+  raises :class:`~repro.errors.WorkerCrashError` carrying the task key --
+  not a pickled traceback proxy of unknown type.
+* **A dead worker surfaces at once instead of wedging the wait.**  Each
+  task reports over its own one-way pipe, and the parent blocks in
+  :func:`multiprocessing.connection.wait` on every live task's read end
+  *and* a pidfd for its process.  When the process exits, the parent
+  reads what the pipe already holds, then raises
+  :class:`WorkerCrashError` with the exit code.  EOF alone cannot tell:
+  a process forked while the write end was open (a concurrent serve job,
+  a worker's own children) may hold it after the task is gone.  Nor can
+  the process sentinel, a pipe the worker's children inherit too; it
+  stands in only where the OS has no pidfds.
 * **Workers can stream events.**  :func:`run_in_process` gives the child
   an ``emit`` callback whose payloads are forwarded to the parent's
   ``on_event`` as they happen -- the transport for the serve tier's
@@ -21,42 +26,33 @@ none of them:
 
 Each task runs in a fresh process (the ``maxtasksperchild=1`` policy the
 pool paths already used), so simulator state can never leak between
-experiments.
+experiments.  A child blocks in ``send`` until the parent reads, so the
+parent drains every ready pipe and joins a child only after its terminal
+message.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
+import os
 import traceback
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import WorkerCrashError
 
-#: How long the parent keeps draining the result queue after noticing a
-#: dead child, before declaring the result lost.  A child that exited
-#: cleanly flushes its queue feeder at interpreter exit, so anything it
-#: reported becomes readable well within this window.
-_DRAIN_SECONDS = 1.0
 
-#: Poll interval for the combined "result or dead worker" wait.
-_POLL_SECONDS = 0.1
-
-
-def _child_main(worker, key, payload, channel, streams_events) -> None:
+def _child_main(worker, payload, writer, streams_events) -> None:
     """Child-process entry: run one task, report exactly one terminal message."""
     try:
         if streams_events:
             def emit(data: object) -> None:
-                channel.put(("event", key, data))
+                writer.send(("event", data))
 
-            result = worker(payload, emit)
+            message: Tuple = ("ok", worker(payload, emit))
         else:
-            result = worker(payload)
+            message = ("ok", worker(payload))
     except BaseException as error:  # report, don't let it vanish with the process
-        channel.put(("error", key, repr(error), traceback.format_exc()))
-    else:
-        channel.put(("ok", key, result))
+        message = ("error", repr(error), traceback.format_exc())
+    writer.send(message)
 
 
 class _TaskProcesses:
@@ -69,69 +65,65 @@ class _TaskProcesses:
     """
 
     def __init__(self, daemon: bool = True) -> None:
+        # Imported on first use: the sweep builder and the server import
+        # this module at start-up, and most of their runs fork nothing.
+        import multiprocessing
+        from multiprocessing.connection import wait
+
         self.context = multiprocessing.get_context()
-        self.channel = self.context.Queue()
+        self.wait = wait
         self.daemon = daemon
-        self.active: dict = {}  # key -> Process
-        self.done: set = set()  # keys whose terminal message arrived
+        self.active: dict = {}  # read end -> (key, Process, exit waitable)
 
     def spawn(self, worker, key, payload, streams_events: bool) -> None:
+        reader, writer = self.context.Pipe(duplex=False)
         process = self.context.Process(
             target=_child_main,
-            args=(worker, key, payload, self.channel, streams_events),
+            args=(worker, payload, writer, streams_events),
             daemon=self.daemon,
         )
         process.start()
-        self.active[key] = process
-
-    def dead_worker(self) -> Optional[Tuple[str, int]]:
-        """A (key, exitcode) whose process died without a terminal message."""
-        for key, process in self.active.items():
-            if key not in self.done and not process.is_alive():
-                process.join()
-                return key, process.exitcode
-        return None
+        writer.close()  # the child holds the copy that matters
+        try:  # the sentinel only without pidfds, or if the child is reaped
+            exited = os.pidfd_open(process.pid)
+        except (AttributeError, OSError):
+            exited = process.sentinel
+        self.active[reader] = (key, process, exited)
 
     def next_message(self) -> Tuple:
-        """Block for the next message; raise on a silently dead worker."""
-        while True:
-            try:
-                return self.channel.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                pass
-            dead = self.dead_worker()
-            if dead is None:
-                continue
-            # The child may have flushed its report into the pipe in the
-            # instant before we saw it die -- drain before declaring loss.
-            deadline = int(_DRAIN_SECONDS / _POLL_SECONDS)
-            for _ in range(deadline):
-                try:
-                    return self.channel.get(timeout=_POLL_SECONDS)
-                except queue_mod.Empty:
-                    continue
-            key, exitcode = dead
-            del self.active[key]
-            raise WorkerCrashError(
-                key,
-                "worker process died before reporting a result",
-                exitcode=exitcode,
-            )
+        """Block for the next ``(reader, message)``; raise on a dead worker."""
+        owner = {}
+        for reader, (_key, _process, exited) in self.active.items():
+            owner[reader] = owner[exited] = reader
+        reader = owner[self.wait(list(owner))[0]]
+        try:
+            if reader.poll(0):  # what a dead child sent is still delivered
+                return reader, reader.recv()
+        except (EOFError, OSError):
+            pass  # every write end closed: nothing more will come
+        key, process = self.active[reader][:2]
+        self.reap(reader)
+        raise WorkerCrashError(
+            key,
+            "worker process died before reporting a result",
+            exitcode=process.exitcode,
+        )
 
-    def reap(self, key) -> None:
-        self.done.add(key)
-        process = self.active.pop(key, None)
-        if process is not None:
-            process.join()
+    def reap(self, reader) -> str:
+        """Join a task's process and close its handles; return its key."""
+        key, process, exited = self.active.pop(reader)
+        process.join()
+        reader.close()
+        if exited != process.sentinel:
+            os.close(exited)
+        return key
 
     def terminate_all(self) -> None:
-        for process in self.active.values():
+        for _key, process, _exited in self.active.values():
             if process.is_alive():
                 process.terminate()
-        for process in self.active.values():
-            process.join()
-        self.active.clear()
-        self.channel.close()
+        for reader in list(self.active):
+            self.reap(reader)
 
 
 def run_in_process(
@@ -144,28 +136,29 @@ def run_in_process(
     """Run ``worker(payload, emit)`` in a fresh process; return its result.
 
     Every ``emit(data)`` call in the child is forwarded to ``on_event`` in
-    the parent, in order, before the result is returned.  A worker
-    exception or silent death raises :class:`WorkerCrashError` tagged with
-    ``key``.  Blocking -- the serve tier calls this from an executor
-    thread, one per in-flight job.  ``daemon=False`` allows the worker to
-    spawn its own processes (partitioned simulation inside a serve job).
+    the parent, in order, before the result is returned -- also the events
+    of a worker that dies right after emitting them.  A worker exception
+    or death raises :class:`WorkerCrashError` tagged with ``key``.
+    Blocking -- the serve tier calls this from an executor thread, one per
+    in-flight job.  ``daemon=False`` allows the worker to spawn its own
+    processes (partitioned simulation inside a serve job).
     """
     tasks = _TaskProcesses(daemon=daemon)
     try:
         tasks.spawn(worker, key, payload, streams_events=True)
         while True:
-            message = tasks.next_message()
+            reader, message = tasks.next_message()
             kind = message[0]
             if kind == "event":
                 if on_event is not None:
-                    on_event(message[2])
+                    on_event(message[1])
                 continue
-            tasks.reap(message[1])
+            tasks.reap(reader)
             if kind == "error":
                 raise WorkerCrashError(
-                    key, message[2], worker_traceback=message[3]
+                    key, message[1], worker_traceback=message[2]
                 )
-            return message[2]
+            return message[1]
     finally:
         tasks.terminate_all()
 
@@ -193,17 +186,14 @@ def parallel_map(
         while pending and len(pool.active) < jobs:
             key, payload = pending.pop()
             pool.spawn(worker, key, payload, streams_events=False)
-        remaining = len(pool.active) + len(pending)
-        while remaining:
-            message = pool.next_message()
-            kind, key = message[0], message[1]
-            pool.reap(key)
-            if kind == "error":
-                raise WorkerCrashError(key, message[2], worker_traceback=message[3])
+        while pool.active:
+            reader, message = pool.next_message()
+            key = pool.reap(reader)
+            if message[0] == "error":
+                raise WorkerCrashError(key, message[1], worker_traceback=message[2])
             if pending:
                 next_key, next_payload = pending.pop()
                 pool.spawn(worker, next_key, next_payload, streams_events=False)
-            remaining -= 1
-            yield key, message[2]
+            yield key, message[1]
     finally:
         pool.terminate_all()

@@ -26,7 +26,9 @@ reassembles the pieces **in declared unit order**:
 
 Experiments without a decomposition run as one :data:`WHOLE_UNIT` in
 partition 0; extra partitions simply stay idle, preserving output
-byte-identity rather than refusing the flag.
+byte-identity rather than refusing the flag.  A run with only one busy
+shard forks nothing: the caller runs that shard itself, through the same
+per-unit code a worker process would run.
 
 A whole run is never split into units: merged per-unit traces differ from
 one shared tracer's (record order, sampled gauges), so ``--trace-out``
@@ -268,10 +270,12 @@ def run_partitioned(
 
     ``partitions=None`` runs the experiment as one :data:`WHOLE_UNIT` in
     this process.  An integer shards its declared units across that many
-    worker processes; ``partitions == 1`` runs the same per-unit code path
-    in-process, so the outputs (rendered text, combined result, sanitizer
-    summary, merged trace bytes) are byte-identical for any partition
-    count; only the wall-clock telemetry differs.
+    worker processes, one per busy shard; with a single busy shard (any
+    ``partitions == 1`` run, or an experiment without units) the same
+    per-unit code path runs in-process, so the outputs (rendered text,
+    combined result, sanitizer summary, merged trace bytes) are
+    byte-identical for any partition count; only the wall-clock telemetry
+    differs.
 
     ``instrumented=False`` installs no per-unit tracer, so the run
     attaches to the caller's ambient bus (see :func:`_run_units`); event
@@ -279,10 +283,6 @@ def run_partitioned(
     deterministic count from an instrumented run.  Tracing implies
     instrumentation, so ``traced=True`` overrides it.
     """
-    # Imported here to keep repro.partition importable without the
-    # multiprocessing machinery (and to avoid import cycles in workers).
-    from repro.parallel import parallel_map
-
     instrumented = instrumented or traced
     experiment = get_experiment(key)
     # Import the driver before the clock starts and before shards fork:
@@ -291,22 +291,22 @@ def run_partitioned(
     units = [WHOLE_UNIT] if partitions is None else plan_units(key)
     shards = shard_units(units, 1 if partitions is None else partitions)
     outputs: Dict[int, Dict[str, object]] = {}
+    busy = [p for p, shard in enumerate(shards) if shard] or [0]
     began = time.perf_counter()
-    if len(shards) == 1:
-        outputs[0] = _shard_worker(
-            (key, shards[0], sanitized, traced, profiled, instrumented)
+    if len(busy) == 1:
+        # One busy shard (always so for a run without declared units):
+        # forking would leave this process idle while a copy of it works.
+        outputs[busy[0]] = _shard_worker(
+            (key, shards[busy[0]], sanitized, traced, profiled, instrumented)
         )
     else:
-        tasks = []
-        index_of: Dict[str, int] = {}
-        for p, shard in enumerate(shards):
-            if not shard:
-                continue  # more partitions than units: leave it idle
-            task_key = f"{key}[p{p}]"
-            index_of[task_key] = p
-            tasks.append(
-                (task_key, (key, shard, sanitized, traced, profiled, instrumented))
-            )
+        from repro.parallel import parallel_map
+
+        index_of = {f"{key}[p{p}]": p for p in busy}
+        tasks = [
+            (task_key, (key, shards[p], sanitized, traced, profiled, instrumented))
+            for task_key, p in index_of.items()
+        ]
         for task_key, output in parallel_map(
             _shard_worker, tasks, jobs=len(tasks)
         ):

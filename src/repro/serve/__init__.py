@@ -21,34 +21,23 @@ it is in flight (request coalescing).
   ``cedar-repro submit``, tests, and CI smoke.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import DEFAULT_PORT, ServeClient
-from repro.serve.coalesce import Coalescer
-from repro.serve.jobs import DEFAULT_QUEUE_LIMIT, Job, JobRegistry
-from repro.serve.schema import (
-    DEFAULT_JOB_CONFIG,
-    JobRequest,
-    cache_key,
-    canonical_config,
-    canonical_config_json,
-    parse_job_request,
-)
-from repro.serve.server import JobServer, serve_forever
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_JOB_CONFIG",
-    "DEFAULT_PORT",
-    "DEFAULT_QUEUE_LIMIT",
-    "Coalescer",
-    "Job",
-    "JobRegistry",
-    "JobRequest",
-    "JobServer",
-    "ResultCache",
-    "ServeClient",
-    "cache_key",
-    "canonical_config",
-    "canonical_config_json",
-    "parse_job_request",
-    "serve_forever",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.cache": ["ResultCache"],
+        "repro.serve.client": ["DEFAULT_PORT", "ServeClient"],
+        "repro.serve.coalesce": ["Coalescer"],
+        "repro.serve.jobs": ["DEFAULT_QUEUE_LIMIT", "Job", "JobRegistry"],
+        "repro.serve.schema": [
+            "DEFAULT_JOB_CONFIG",
+            "JobRequest",
+            "cache_key",
+            "canonical_config",
+            "canonical_config_json",
+            "parse_job_request",
+        ],
+        "repro.serve.server": ["JobServer", "serve_forever"],
+    },
+)

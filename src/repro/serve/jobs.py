@@ -49,6 +49,11 @@ DEFAULT_QUEUE_LIMIT = 64
 _STATES = ("queued", "running", "done", "failed")
 
 
+def _ms_since(began: float) -> float:
+    """Milliseconds from the ``perf_counter`` stamp ``began`` to now."""
+    return (time.perf_counter() - began) * 1000.0
+
+
 class Job:
     """One requested experiment run and its observable history."""
 
@@ -309,7 +314,7 @@ class JobRegistry:
             job = await self._queue.get()
             self._depth_gauge.set(self._queue.qsize())
             assert job.queued_at is not None  # only _submit_one enqueues
-            self._phase(job, "queue_wait", job.queued_at)
+            self._phase(job, "queue_wait", _ms_since(job.queued_at))
             running = time.perf_counter()
             job.mark_running()
             failure: Optional[Dict[str, object]] = None
@@ -329,17 +334,25 @@ class JobRegistry:
                     "message": repr(error),
                     "experiment": job.experiment,
                 }
-            self._phase(job, "worker", running)
+            worker_ms = _ms_since(running)
+            self._phase(job, "worker", worker_ms)
             if failure is not None:
                 self._settle_failure(job, failure)
-            else:
-                self._settle_success(job, *self._unpack(outcome))
+                continue
+            body, trace, trace_meta = self._unpack(outcome)
+            if trace_meta and "simulate_ms" in trace_meta:
+                # The worker times its own simulate and serialize; the
+                # rest is process start, result transfer and reap.
+                simulate_ms = float(trace_meta["simulate_ms"])
+                serialize_ms = float(trace_meta["serialize_ms"])
+                self._phase(job, "spawn", worker_ms - simulate_ms - serialize_ms)
+                self._phase(job, "simulate", simulate_ms)
+                self._phase(job, "serialize", serialize_ms)
+            self._settle_success(job, body, trace, trace_meta)
 
-    def _phase(self, job: Job, name: str, began: float) -> None:
-        """Record one phase of a computed job, timed on the server loop
-        from ``began`` to now (job document and ``/metrics`` only, never
-        the cached result bytes)."""
-        elapsed_ms = (time.perf_counter() - began) * 1000.0
+    def _phase(self, job: Job, name: str, elapsed_ms: float) -> None:
+        """Record one phase of a computed job (job document and
+        ``/metrics`` only, never the cached result bytes)."""
         if job.phases_ms is None:
             job.phases_ms = {}
         job.phases_ms[name] = round(elapsed_ms, 3)
@@ -374,7 +387,7 @@ class JobRegistry:
             # Serve the bytes in hand; a lost store costs a later
             # recompute, never this job or its followers.
             self._cache_write_errors.inc()
-        self._phase(job, "cache_write", writing)
+        self._phase(job, "cache_write", _ms_since(writing))
         followers = self._coalescer.settle(job.cache_key)
         if trace is not None:
             job.trace = trace

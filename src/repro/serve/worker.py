@@ -237,23 +237,26 @@ def execute_job(payload: Dict[str, object], emit: Emit) -> Dict[str, object]:
     is cached/byte-stable; the trace buffer and telemetry describe this
     particular execution.  The telemetry holds only counted or measured
     fields: the tracer's calibrated cost estimate would cost a fresh
-    worker process more than the job itself.
+    worker process more than the job itself.  ``simulate_ms`` times
+    :func:`build_record` and ``serialize_ms`` the result and trace bytes,
+    so the server can split its ``worker`` phase.
     """
     tracer = ProgressTracer(emit)
     began = time.perf_counter()
     record = build_record(
         str(payload["experiment"]), dict(payload["config"]), emit, tracer=tracer
     )
-    wall_seconds = time.perf_counter() - began
+    simulated = time.perf_counter()
+    result = canonical_bytes(record)
+    trace = tracer.snapshot().to_bytes()
+    serialized = time.perf_counter()
     trace_meta: Dict[str, object] = {
         "records_seen": tracer.records_seen,
         "records_retained": tracer.num_records,
         "records_dropped": tracer.dropped,
         "buffer_bytes": tracer.buffer_bytes,
-        "wall_seconds": wall_seconds,
+        "wall_seconds": simulated - began,
+        "simulate_ms": (simulated - began) * 1000.0,
+        "serialize_ms": (serialized - simulated) * 1000.0,
     }
-    return {
-        "result": canonical_bytes(record),
-        "trace": tracer.snapshot().to_bytes(),
-        "trace_meta": trace_meta,
-    }
+    return {"result": result, "trace": trace, "trace_meta": trace_meta}

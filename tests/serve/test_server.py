@@ -384,14 +384,22 @@ class TestPhasesAndCacheWrites:
     """Measured per-job phases, and a failed cache write is not fatal."""
 
     def test_computed_job_reports_its_phases_and_hits_do_not(self):
-        server, _ = stub_server()
+        # The worker-dict form: the worker times simulate and serialize.
+        server, _ = stub_server(
+            trace=b"trace", trace_meta={"simulate_ms": 0.0, "serialize_ms": 0.0}
+        )
         with server:
             client = server.client
             cold = client.submit("table2")["job"]["id"]
             document = client.wait(cold, timeout=10)
             phases = document["phases_ms"]
-            assert set(phases) == {"queue_wait", "worker", "cache_write"}
+            assert set(phases) == {
+                "queue_wait", "worker", "spawn", "simulate", "serialize",
+                "cache_write",
+            }
             assert all(value >= 0 for value in phases.values())
+            split = phases["spawn"] + phases["simulate"] + phases["serialize"]
+            assert split == pytest.approx(phases["worker"], abs=0.002)
             warm = client.submit("table2")["job"]
             assert warm["source"] == "cache"
             assert "phases_ms" not in warm
@@ -511,6 +519,12 @@ class TestRealSimulation:
             meta = client.job(job_id)["trace"]
             assert meta["records_seen"] == snap.records_seen
             assert "overhead_ratio" not in meta
+            # The worker phase splits into what the worker timed itself
+            # and the process plumbing around it.
+            phases = client.job(job_id)["phases_ms"]
+            assert min(phases.values()) >= 0
+            split = phases["spawn"] + phases["simulate"] + phases["serialize"]
+            assert split == pytest.approx(phases["worker"], abs=0.002)
             health = client.healthz()
             assert health["trace_buffer_bytes"] > 0
             assert samples["serve_trace_buffer_bytes"] > 0

@@ -67,6 +67,8 @@ class TestExecuteJob:
         assert meta["records_seen"] == snap.records_seen > 0
         assert meta["records_retained"] == snap.num_records
         assert meta["wall_seconds"] > 0
+        assert meta["simulate_ms"] == meta["wall_seconds"] * 1000.0
+        assert meta["serialize_ms"] > 0
         assert "overhead_ratio" not in meta
         assert "overhead_per_record_ns" not in meta
         types = [e["type"] for e in events]
@@ -130,6 +132,32 @@ class TestPartitionedJob:
         assert sharded["config"]["partitions"] == 2
         marks = [e for e in events if e["type"] == "partitioned"]
         assert len(marks) == 1 and marks[0]["partitions"] == 2
+
+    def test_two_busy_shards_fork_from_the_job_worker(self, monkeypatch):
+        """A job whose experiment has units forks one shard child per busy
+        shard from its own (non-daemonic) worker process."""
+        _fork_only()
+        from repro.experiments import registry
+        from repro.parallel import run_in_process
+        from repro.serve.schema import canonical_config
+
+        experiment = registry.Experiment(
+            key="pids",
+            description="each unit reports the process that ran it",
+            run=lambda: None,
+            render=repr,
+            units=lambda: ["a", "b"],
+            run_unit=lambda name: os.getpid(),
+            combine=lambda results: results,
+        )
+        monkeypatch.setitem(registry.EXPERIMENTS, "pids", experiment)
+        payload = {"experiment": "pids", "config": canonical_config({"partitions": 2})}
+        outcome = run_in_process(
+            worker.execute_job, "pids", payload, daemon=False,
+        )
+        pids = json.loads(outcome["result"])["result"]
+        assert len(set(pids.values())) == 2
+        assert os.getpid() not in pids.values()
 
 
 class TestSpecOverride:

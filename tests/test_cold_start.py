@@ -30,6 +30,7 @@ LAZY_PACKAGES = (
     "repro.builder",
     "repro.hardware",
     "repro.experiments",
+    "repro.serve",
 )
 
 #: What a simulator workload's start-up must not pay for.
@@ -120,6 +121,14 @@ class TestImportBudgets:
             assert drivers == ["repro.experiments.table3"]
         else:
             assert "repro.hardware.machine" not in modules
+
+    def test_submit_client_loads_no_server(self):
+        modules = _fresh_modules("from repro.serve import ServeClient\n")
+        assert "repro.serve.client" in modules
+        assert _loaded(modules, (
+            "repro.serve.jobs", "repro.serve.worker", "repro.serve.server",
+            "repro.parallel",
+        )) == []
 
     def test_registry_defers_every_driver(self):
         modules = _fresh_modules(

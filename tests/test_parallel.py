@@ -1,6 +1,9 @@
 """Tests for the process-per-task parallel runner (repro.parallel)."""
 
+import contextlib
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -34,8 +37,18 @@ def echo_with_events(payload, emit):
 
 def crash_after_event(payload, emit):
     emit({"step": 0})
-    time.sleep(0.2)  # let the queue's feeder thread flush before dying
     os._exit(7)
+
+
+def crash_leaving_write_end_open(payload, emit):
+    # The grandchild inherits the task's write end, so the parent's read
+    # end sees no EOF when this worker dies.
+    grandchild = os.fork()
+    if grandchild == 0:
+        time.sleep(10)
+        os._exit(0)
+    emit(grandchild)
+    os._exit(3)
 
 
 class TestParallelMap:
@@ -84,6 +97,23 @@ class TestParallelMap:
                 seen[key] = value
         assert seen == {"good": 6}
 
+    def test_crash_terminates_the_other_workers(self):
+        with pytest.raises(WorkerCrashError) as info:
+            dict(parallel_map(sleep_or_exit, [("sleeper", 0), ("crasher", 4)], jobs=2))
+        assert info.value.experiment == "crasher"
+        assert multiprocessing.active_children() == []
+
+
+def sleep_or_exit(payload):
+    if payload:
+        os._exit(payload)
+    time.sleep(30)
+
+
+def sleep_after_event(payload, emit):
+    emit("started")
+    time.sleep(30)
+
 
 def exit_if_negative(payload):
     if payload < 0:
@@ -108,3 +138,28 @@ class TestRunInProcess:
         assert events == [{"step": 0}]  # events before death still delivered
         assert info.value.experiment == "exp"
         assert info.value.exitcode == 7
+
+    def test_crash_reported_while_another_process_holds_the_pipe(self):
+        grandchildren = []
+        began = time.monotonic()
+        try:
+            with pytest.raises(WorkerCrashError) as info:
+                run_in_process(
+                    crash_leaving_write_end_open, "exp", None,
+                    on_event=grandchildren.append,
+                )
+            assert info.value.exitcode == 3
+            assert time.monotonic() - began < 5.0
+        finally:
+            for pid in grandchildren:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert len(grandchildren) == 1
+
+    def test_failing_event_handler_terminates_the_worker(self):
+        def refuse(data):
+            raise RuntimeError(f"cannot take {data!r}")
+
+        with pytest.raises(RuntimeError, match="started"):
+            run_in_process(sleep_after_event, "k", None, on_event=refuse)
+        assert multiprocessing.active_children() == []

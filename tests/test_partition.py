@@ -119,3 +119,33 @@ class TestShardRuntime:
         assert counted.rendered == traced.rendered
         events = counted.telemetry["events_dispatched"]
         assert events == traced.telemetry["events_dispatched"] > 0
+
+
+class TestOneBusyShard:
+    """A run with one busy shard runs it in the caller, forking nothing."""
+
+    @pytest.fixture(autouse=True)
+    def _no_workers(self, monkeypatch):
+        import repro.parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-busy-shard run forked workers")
+
+        monkeypatch.setattr(repro.parallel, "parallel_map", refuse)
+
+    @pytest.mark.parametrize(
+        "partitions, flags",
+        [(2, {}), (3, {"sanitized": True, "traced": True})],
+        ids=["plain-2", "sanitized-traced-3"],
+    )
+    def test_same_artifacts_as_one_partition(self, partitions, flags):
+        run = run_partitioned("table6", partitions, **flags)
+        whole = run_partitioned("table6", 1, **flags)
+        assert run.rendered == whole.rendered
+        assert run.sanitizer == whole.sanitizer
+        assert run.trace_bytes == whole.trace_bytes
+        if flags:
+            assert run.sanitizer is not None and run.trace_bytes
+        stats = run.telemetry["partition_stats"]
+        assert [s["partition"] for s in stats] == list(range(partitions))
+        assert [s["units"] for s in stats] == [1] + [0] * (partitions - 1)
