@@ -115,7 +115,7 @@ class ReferenceEngine:
                 "running; components must not mutate simulation state "
                 "off-queue (the idle fast-forward invariant, see DESIGN.md)"
             )
-        self._push(delay, callback)
+        self.schedule_after(delay, callback)
 
     def schedule_after(self, delay: int, callback: Callback) -> None:
         if self._sanitizer is not None:
@@ -127,6 +127,7 @@ class ReferenceEngine:
     ) -> None:
         if self._sanitizer is not None:
             self._sanitizer.check_schedule_call(self, delay, "engine.schedule_pair")
+            self._sanitizer.check_schedule_call(self, 0, "engine.schedule_pair")
         self._push(delay, callback)
         self._push(0, now_callback)
 

@@ -4,6 +4,7 @@ import pytest
 
 from reference_engine import ReferenceEngine
 from repro.errors import SimulationError
+from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 
 
@@ -289,6 +290,45 @@ class TestFastDispatch:
         assert engine.now == 100
         engine.run_until_idle()
         assert seen == ["early", "late"]
+
+
+class TestSanitizedScheduleCount:
+    """The sanitizer counts one ``engine.schedule`` check per queued event,
+    whichever entry point queued it."""
+
+    @staticmethod
+    def _two_events(entry_point, engine):
+        # Events at delay 3 and delay 0, queued from inside a callback.
+        if entry_point == "schedule":
+            engine.schedule(3, lambda: None)
+            engine.schedule(0, lambda: None)
+        elif entry_point == "schedule_after":
+            engine.schedule_after(3, lambda: None)
+            engine.schedule_after(0, lambda: None)
+        elif entry_point == "schedule_pair":
+            engine.schedule_pair(3, lambda: None, lambda: None)
+        else:
+            engine.recurring(3, lambda: None).schedule()
+            engine.recurring(0, lambda: None).schedule()
+
+    @pytest.mark.parametrize("engine_class", [Engine, ReferenceEngine])
+    def test_every_entry_point_counts_one_check_per_event(self, engine_class):
+        counts = {}
+        for entry_point in ("schedule", "schedule_after", "schedule_pair",
+                            "recurring"):
+            with sanitize.sanitizing() as sanitizer:
+                engine = engine_class()
+                engine.schedule_after(
+                    0, lambda: self._two_events(entry_point, engine)
+                )
+                before = sanitizer.checks["engine.schedule"]
+                engine.run_until_idle()
+                counts[entry_point] = sanitizer.checks["engine.schedule"] - before
+                assert engine.events_dispatched == 3
+        assert counts == {
+            "schedule": 2, "schedule_after": 2, "schedule_pair": 2,
+            "recurring": 2,
+        }
 
 
 class TestRecurringEvent:
