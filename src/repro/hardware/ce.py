@@ -140,7 +140,12 @@ KernelFactory = Callable[["ComputationalElement"], KernelCoroutine]
 
 
 class NetworkPort:
-    """One CE's interface to the forward/reverse global networks."""
+    """One CE's interface to the forward/reverse global networks.
+
+    Demand requests and the PFU steer by ``memory_port_of``, the cluster's
+    address-to-module map.  A tag maps to a one-shot callable, or to
+    ``(handle, index)`` for a prefetch word (see ``prefetch_reply``).
+    """
 
     def __init__(
         self,
@@ -148,13 +153,17 @@ class NetworkPort:
         port: int,
         forward: OmegaNetwork,
         reverse: OmegaNetwork,
+        memory_port_of: Callable[[int], int],
     ) -> None:
         self.engine = engine
         self.port = port
         self.forward = forward
         self.reverse = reverse
+        self.memory_port_of = memory_port_of
+        #: Set by the CE's :class:`PrefetchUnit`; takes (handle, index).
+        self.prefetch_reply: Optional[Callable[[PrefetchHandle, int], None]] = None
         self._next_tag = 0
-        self._callbacks: Dict[int, Callable[[Packet], None]] = {}
+        self._callbacks: Dict[int, object] = {}
         reverse.attach_sink(port, self._deliver)
 
     def new_tag(self, callback: Callable[[Packet], None]) -> int:
@@ -167,18 +176,15 @@ class NetworkPort:
         """Drop the callback of a tag whose request was never injected."""
         del self._callbacks[tag]
 
-    def send(self, packet: Packet) -> bool:
-        return self.forward.try_inject(self.port, packet)
-
-    def on_space(self, waiter: Callable[[], None]) -> None:
-        self.forward.on_entry_space(self.port, waiter)
-
     def _deliver(self, packet: Packet) -> None:
         tag = packet.request_tag
-        callback = self._callbacks.pop(tag, None)
-        if callback is None:
+        entry = self._callbacks.pop(tag, None)
+        if entry is None:
             raise SimulationError(f"reply with unknown tag {tag} at port {self.port}")
-        callback(packet)
+        if entry.__class__ is tuple:
+            self.prefetch_reply(*entry)
+        else:
+            entry(packet)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +219,8 @@ class ComputationalElement:
         self.tracer = tracer
         self.trace = tracer.if_enabled() if tracer is not None else None
         self.vector_unit = VectorUnit(config.vector)
-        self.port = NetworkPort(engine, global_port, forward, reverse)
-        self.pfu = PrefetchUnit(
-            engine=engine,
-            config=config.prefetch,
-            send=self.port.send,
-            on_send_space=self.port.on_space,
-            new_tag=self.port.new_tag,
-            release_tag=self.port.release_tag,
-            port=global_port,
-            memory_port_of=memory_port_of,
-            tracer=tracer,
-        )
+        self.port = NetworkPort(engine, global_port, forward, reverse, memory_port_of)
+        self.pfu = PrefetchUnit(engine, config.prefetch, self.port, tracer=tracer)
         self._sanitizer = sanitize.current()
         self.flops = 0.0
         self.busy_until = 0
@@ -298,73 +294,81 @@ class ComputationalElement:
 
     def _do_consume(self, op: ConsumePrefetch) -> None:
         handle = op.handle
+        engine = self.engine
         startup = self.config.vector.startup_cycles
-        state = {"index": 0, "ready_at": self.engine.now + startup}
+        length = handle.length
+        arrivals = handle.arrival_cycles
+        sanitizer = self._sanitizer
+        index = 0
+        ready_at = engine._now + startup
 
         def step() -> None:
-            index = state["index"]
-            if index >= handle.length:
-                self.flops += op.flops_per_element * handle.length
-                delay = max(0, state["ready_at"] - self.engine.now)
-                self.engine.schedule(delay, lambda: self._advance(self.engine.now))
+            nonlocal index, ready_at
+            if index >= length:
+                self.flops += op.flops_per_element * length
+                delay = max(0, ready_at - engine._now)
+                engine.schedule(delay, lambda: self._advance(engine._now))
                 return
-            if handle.is_available(index):
-                if self._sanitizer is not None:
+            if arrivals[index] is not None:
+                if sanitizer is not None:
                     # Read-side full/empty protocol: consuming a word
                     # requires its full bit to be set.
-                    self._sanitizer.check_fullempty_read(
+                    sanitizer.check_fullempty_read(
                         f"ce{self.global_port:02d}", handle, index
                     )
                 # One element per cycle once the datum is in the buffer.
-                state["index"] = index + 1
-                state["ready_at"] = max(state["ready_at"], self.engine.now) + 1
-                self.engine.schedule_after(0, step)  # in dispatch: no checks
+                index += 1
+                now = engine._now
+                ready_at = (ready_at if ready_at > now else now) + 1
+                engine.schedule_after(0, step)  # in dispatch: no checks
             else:
                 handle.wait_for_word(index, step)
 
-        self.engine.schedule(startup, step)
+        engine.schedule(startup, step)
 
     def _do_await(self, op: AwaitPrefetch) -> None:
         handle = op.handle
+        arrivals = handle.arrival_cycles
+        # Words before the one last waited for have all arrived, and a
+        # full bit never clears: each wake resumes the scan there.
+        missing = 0
 
-        def check(index: int = handle.length - 1) -> None:
+        def check() -> None:
+            nonlocal missing
             if handle.complete:
-                self._advance(self.engine.now)
+                self._advance(self.engine._now)
             else:
-                first_missing = next(
-                    i for i in range(handle.length) if not handle.is_available(i)
-                )
-                handle.wait_for_word(first_missing, check)
+                while arrivals[missing] is not None:
+                    missing += 1
+                handle.wait_for_word(missing, check)
 
         check()
 
     def _do_loads(self, op: GlobalLoads) -> None:
+        engine = self.engine
+        port = self.port
+        forward = port.forward
+        memory_port_of = port.memory_port_of
+        source = self.global_port
         startup = self.config.vector.startup_cycles
-        state = {"issued": 0, "arrived": 0, "outstanding": 0}
+        buffer_cycles = self.config.global_memory.ce_buffer_cycles
+        issued = arrived = outstanding = 0
 
         def issue() -> None:
-            while (
-                state["issued"] < op.length
-                and state["outstanding"] < op.max_outstanding
-            ):
-                index = state["issued"]
-                address = op.start_address + index * op.stride
-                tag = self.port.new_tag(on_reply)
+            nonlocal issued, outstanding
+            while issued < op.length and outstanding < op.max_outstanding:
+                address = op.start_address + issued * op.stride
+                tag = port.new_tag(on_reply)
                 packet = Packet(
-                    kind=PacketKind.READ_REQUEST,
-                    source=self.global_port,
-                    destination=self._memory_port_of(address),
-                    address=address,
-                    words=1,
-                    issue_cycle=self.engine.now,
-                    request_tag=tag,
+                    PacketKind.READ_REQUEST, source, memory_port_of(address),
+                    address, 1, engine._now, tag,
                 )
-                if not self.port.send(packet):
-                    self.port.release_tag(tag)
-                    self.port.on_space(issue)
+                if not forward.try_inject(source, packet):
+                    port.release_tag(tag)
+                    forward.on_entry_space(source, issue)
                     return
-                state["issued"] += 1
-                state["outstanding"] += 1
+                issued += 1
+                outstanding += 1
 
         def on_reply(packet: Packet) -> None:
             # Moving the datum from the interface into a register costs the
@@ -373,44 +377,40 @@ class ComputationalElement:
             # max_outstanding words per 13 cycles (the GM/no-pref regime).
             # Replies arrive inside dispatch and the delay is a config int,
             # so the unchecked entry point serves (the sanitizer re-checks).
-            self.engine.schedule_after(
-                self.config.global_memory.ce_buffer_cycles, landed
-            )
+            engine.schedule_after(buffer_cycles, landed)
 
         def landed() -> None:
-            state["arrived"] += 1
-            state["outstanding"] -= 1
-            if state["arrived"] == op.length:
+            nonlocal arrived, outstanding
+            arrived += 1
+            outstanding -= 1
+            if arrived == op.length:
                 self.flops += op.flops_per_element * op.length
-                self._advance(self.engine.now)
+                self._advance(engine._now)
             else:
                 issue()
 
-        self.engine.schedule(startup, issue)
-
-    def _memory_port_of(self, address: int) -> int:
-        return address % self.config.global_memory.num_modules
+        engine.schedule(startup, issue)
 
     def _do_stores(self, op: GlobalStores) -> None:
-        state = {"issued": 0}
+        engine = self.engine
+        forward = self.port.forward
+        memory_port_of = self.port.memory_port_of
+        source = self.global_port
+        issued = 0
 
         def issue() -> None:
-            while state["issued"] < op.length:
-                index = state["issued"]
-                address = op.start_address + index * op.stride
+            nonlocal issued
+            while issued < op.length:
+                address = op.start_address + issued * op.stride
                 packet = Packet(
-                    kind=PacketKind.WRITE_REQUEST,
-                    source=self.global_port,
-                    destination=self._memory_port_of(address),
-                    address=address,
-                    words=2,  # header + datum
-                    issue_cycle=self.engine.now,
+                    PacketKind.WRITE_REQUEST, source, memory_port_of(address),
+                    address, 2, engine._now,  # header + datum
                 )
-                if not self.port.send(packet):
-                    self.port.on_space(issue)
+                if not forward.try_inject(source, packet):
+                    forward.on_entry_space(source, issue)
                     return
-                state["issued"] += 1
-            self.engine.schedule(1, lambda: self._advance(self.engine.now))
+                issued += 1
+            engine.schedule(1, lambda: self._advance(engine._now))
 
         issue()
 
@@ -438,7 +438,7 @@ class ComputationalElement:
         packet = Packet(
             kind=PacketKind.SYNC_REQUEST,
             source=self.global_port,
-            destination=self._memory_port_of(op.address),
+            destination=self.port.memory_port_of(op.address),
             address=op.address,
             words=2,
             issue_cycle=self.engine.now,
@@ -447,8 +447,8 @@ class ComputationalElement:
         )
 
         def send() -> None:
-            if not self.port.send(packet):
-                self.port.on_space(send)
+            if not self.port.forward.try_inject(self.global_port, packet):
+                self.port.forward.on_entry_space(self.global_port, send)
 
         send()
 

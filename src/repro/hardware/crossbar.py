@@ -27,10 +27,10 @@ straight-line code: a grant pops its input queue inline (the same mask
 update as ``SwitchInputQueue.pop``), and an output wired to the next
 stage's input queue ends its transfer with :meth:`_finish_hop`, which
 pushes inline; an output wired to a network exit queue uses
-:meth:`_finish` and the queue's own push.  The space waiter that re-scans
-an output and the completion that ends its transfer are bound once per
-output at construction, so a port conflict queues a reference instead of
-allocating a callable.
+:meth:`_finish`, which pushes inline and calls the queue's listeners.
+The space waiter that re-scans an output and the completion that ends
+its transfer are bound once per output at construction, so a port
+conflict queues a reference instead of allocating a callable.
 
 Arbitration: the round-robin winner of output ``o`` with pointer ``start``
 is the lowest set bit of ``inputs >> start << start or inputs`` -- the
@@ -350,11 +350,20 @@ class CrossbarSwitch:
             self.wake(output)
 
     def _finish(self, output: int) -> None:
-        """End a transfer into an exit queue (the network's last stage)."""
-        # The space was checked at the grant and this output is the sink's
-        # only writer, so the push cannot overflow.
+        """End a transfer into an exit queue: its push, inline."""
         packet = self.in_flight[output]
-        self.sink[output].push(packet)
+        sink = self.sink[output]
+        words = packet.words
+        # The space was checked at the grant and this output is the sink's
+        # only writer, so this never fires.
+        if words > sink.capacity_words - sink._used_words:
+            sink._overflow(words)
+        sink._packets.append(packet)
+        sink._used_words += words
+        if sink._sanitizer is not None:
+            sink._sanitizer.queue_pushed(sink, packet)
+        for listener in sink._item_listeners:
+            listener()
         self.in_flight[output] = None
         self._idle |= 1 << output
         counters = self._trace_counters
@@ -365,16 +374,15 @@ class CrossbarSwitch:
                 self._slot_words = counters.slot("words_forwarded")
             values = counters.values
             values[slot] += 1
-            values[self._slot_words] += packet.words
+            values[self._slot_words] += words
         if self._inputs_for[output] or self._sanitizer is not None:
             self.wake(output)
 
     def connect_output(self, output: int, sink: BoundedWordQueue) -> None:
         """Wire ``output`` into a downstream queue.
 
-        A switch input queue downstream gets the inline-push finisher; any
-        other queue (a network exit queue) is pushed through its own
-        :meth:`~BoundedWordQueue.push`.
+        A switch input queue downstream gets :meth:`_finish_hop`; any
+        other queue (a network exit queue) gets :meth:`_finish`.
         """
         finish = (
             CrossbarSwitch._finish_hop

@@ -104,10 +104,18 @@ class MemoryModule:
     def _wake(self) -> None:
         if self._busy or self._pending_reply is not None:
             return
-        if not self.forward_queue._packets:
+        queue = self.forward_queue
+        packets = queue._packets
+        if not packets:
             return
         self._busy = True
-        request = self.forward_queue.pop()
+        # BoundedWordQueue.pop, inline: its space waiter runs here too.
+        request = packets.popleft()
+        queue._used_words -= request.words
+        if queue._sanitizer is not None:
+            queue._sanitizer.queue_popped(queue, request)
+        if queue._space_waiters:
+            queue._space_waiters.popleft()()
         if self._sanitizer is not None:
             self._sanitizer.memory_request(self, request)
         service = self._service_by_words[request.words]
@@ -115,7 +123,7 @@ class MemoryModule:
             service += self._sync_operate_cycles
         self.busy_cycles += service
         if self.trace is not None:
-            now = self.engine.now
+            now = self.engine._now
             if self._span_address:
                 self.trace.complete(
                     self._trace_component, _KIND_NAMES[request.kind],
@@ -149,7 +157,7 @@ class MemoryModule:
             # directly: reads are most of the traffic.
             reply = Packet(
                 PacketKind.READ_REPLY, request.destination, request.source,
-                request.address, 1, self.engine.now, request.request_tag,
+                request.address, 1, self.engine._now, request.request_tag,
                 request.payload,
             )
         else:

@@ -187,20 +187,27 @@ class OmegaNetwork:
         self._sinks[port] = handler
 
         counters = self._trace_counters
-        engine = self.engine
+        schedule_after = self.engine.schedule_after
+        packets = queue._packets
         slot_delivered = -1  # lazily interned on the first delivery
 
         def drain() -> None:
             nonlocal slot_delivered
-            while queue._packets:
-                packet = queue.pop()
+            while packets:
+                # BoundedWordQueue.pop, inline (its space waiter included).
+                packet = packets.popleft()
+                queue._used_words -= packet.words
+                if queue._sanitizer is not None:
+                    queue._sanitizer.queue_popped(queue, packet)
+                if queue._space_waiters:
+                    queue._space_waiters.popleft()()
                 if counters is not None:
                     if slot_delivered < 0:
                         slot_delivered = counters.slot("packets_delivered")
                     counters.values[slot_delivered] += 1
                 # Delivery stays deferred: handlers may re-enter the network.
                 # partial() dispatches without an intermediate lambda frame.
-                engine.schedule_after(0, partial(handler, packet))
+                schedule_after(0, partial(handler, packet))
 
         queue.add_item_listener(drain)
 
@@ -244,7 +251,7 @@ class OmegaNetwork:
 
     def on_entry_space(self, port: int, waiter: Callable[[], None]) -> None:
         """One-shot callback when the entry queue at ``port`` frees space."""
-        self.entry_queue(port).wait_for_space(waiter)
+        self._entry_queues[port]._space_waiters.append(waiter)
 
     @property
     def routing_tag_bits(self) -> int:

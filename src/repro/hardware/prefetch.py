@@ -8,18 +8,29 @@ address in the new page.  Data returns to a 512-word prefetch buffer --
 possibly out of order, due to memory and network conflicts -- and a
 full/empty bit per word lets the CE consume the data in request order
 without waiting for the whole prefetch to complete.
+
+Both ends of a word are straight-line code over the CE's network port.
+One :meth:`PrefetchUnit._issue_next` frame computes the word's address,
+makes the page test, allocates the reply tag, builds the request and
+injects it.  The tag maps to ``(handle, index)``, which the port hands to
+:meth:`PrefetchUnit._on_reply`; that frame records the arrival, wakes the
+word's waiters and tests completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.config import PrefetchConfig, WORD_BYTES
 from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet, PacketKind
+
+if TYPE_CHECKING:
+    from repro.hardware.ce import NetworkPort
 
 #: Cycles for the CE to supply the first address of a new page when a
 #: prefetch suspends at a page crossing (the PFU only has physical
@@ -63,20 +74,10 @@ class PrefetchHandle:
 
     def wait_for_word(self, index: int, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` when word ``index`` becomes available."""
-        if self.is_available(index):
+        if self.arrival_cycles[index] is not None:
             callback()
             return
         self._waiters.setdefault(index, []).append(callback)
-
-    def record_arrival(self, index: int, cycle: int) -> None:
-        if self.arrival_cycles[index] is not None:
-            raise SimulationError(f"duplicate arrival for prefetch word {index}")
-        self.arrival_cycles[index] = cycle
-        self._arrival_order.append(cycle)
-        callbacks = self._waiters.pop(index, None)
-        if callbacks is not None:
-            for callback in callbacks:
-                callback()
 
     # -- the paper's Table 2 metrics --------------------------------------
 
@@ -99,37 +100,24 @@ class PrefetchUnit:
         self,
         engine: Engine,
         config: PrefetchConfig,
-        send: Callable[[Packet], bool],
-        on_send_space: Callable[[Callable[[], None]], None],
-        new_tag: Callable[[Callable[[Packet], None]], int],
-        release_tag: Callable[[int], None],
-        port: int,
-        memory_port_of: Callable[[int], int],
+        port: "NetworkPort",
         tracer=None,
     ) -> None:
         """
         Args:
             engine: Simulation engine.
             config: PFU parameters.
-            send: Injects a packet into the forward network; False when full.
-            on_send_space: Registers a retry callback for a full entry queue.
-            new_tag: Allocates a reply tag bound to a one-shot callback (the
-                CE network port dispatches replies by tag).
-            release_tag: Drops the callback of a tag whose request the
-                network rejected (the retry allocates a fresh tag).
-            port: This CE's network port (packet source id).
-            memory_port_of: Maps a word address to its memory-module port.
+            port: The CE's network port: its forward network takes the
+                requests, its tag table routes the replies back here, and
+                its ``memory_port_of`` maps a word address to its module.
         """
         self.engine = engine
         self.config = config
-        self._send = send
-        self._on_send_space = on_send_space
-        self._new_tag = new_tag
-        self._release_tag = release_tag
-        self.port = port
-        self._memory_port_of = memory_port_of
+        self._port = port
+        self.port = port.port
+        port.prefetch_reply = self._on_reply
         self.trace = tracer.if_enabled() if tracer is not None else None
-        self._trace_component = f"prefetch.ce{port:02d}"
+        self._trace_component = f"prefetch.ce{self.port:02d}"
         self._trace_counters = (
             self.trace.counters(self._trace_component)
             if self.trace is not None
@@ -151,7 +139,6 @@ class PrefetchUnit:
         self._armed: Optional[Dict[str, int]] = None
         self._active: Optional[PrefetchHandle] = None
         self._next_index = 0
-        self._outstanding = 0
         self._issuing = False
         self.completed: List[PrefetchHandle] = []
         self.network_stall_cycles = 0
@@ -188,7 +175,7 @@ class PrefetchUnit:
             length=self._armed["length"],
             stride=self._armed["stride"],
             start_address=start_address,
-            fire_cycle=self.engine.now,
+            fire_cycle=self.engine._now,
         )
         self._armed = None
         self._active = handle
@@ -204,41 +191,41 @@ class PrefetchUnit:
 
     # -- issue engine ------------------------------------------------------
 
-    def _issue_next(self) -> None:
+    def _issue_next(self, page_resumed: bool = False) -> None:
+        """Issue the next word; ``page_resumed`` skips the page test (a page
+        resume, or a retry of a word that passed it)."""
         handle = self._active
-        if handle is None or self._next_index >= handle.length:
+        index = self._next_index
+        if handle is None or index >= handle.length:
             self._issuing = False
             return
-        index = self._next_index
-        address = handle.address_of(index)
-        if index > 0 and self._crosses_page(address - handle.stride, address):
+        address = handle.start_address + index * handle.stride
+        page_words = self._page_words
+        if index and not page_resumed and (
+            (address - handle.stride) // page_words != address // page_words
+        ):
             self.page_suspensions += 1
             if self._trace_counters is not None:
                 self._trace_counters.add("page_suspensions")
             self.engine.schedule(
-                PAGE_RESUME_CYCLES, lambda: self._issue_word(index, address)
+                PAGE_RESUME_CYCLES, partial(self._issue_next, True)
             )
             return
-        self._issue_word(index, address)
-
-    def _issue_word(self, index: int, address: int) -> None:
-        """Send word ``index`` of the active prefetch, at ``address``."""
-        handle = self._active
-        assert handle is not None
-        tag = self._new_tag(lambda packet, i=index, h=handle: self._on_reply(h, i))
+        port = self._port
+        # NetworkPort.new_tag, inline; the tag is bound to its word only
+        # once the network accepts the request.
+        tag = port._next_tag
+        port._next_tag = tag + 1
+        now = self.engine._now
+        source = self.port
         packet = Packet(
-            kind=PacketKind.READ_REQUEST,
-            source=self.port,
-            destination=self._memory_port_of(address),
-            address=address,
-            words=1,
-            issue_cycle=self.engine.now,
-            request_tag=tag,
+            PacketKind.READ_REQUEST, source, port.memory_port_of(address),
+            address, 1, now, tag,
         )
-        if self._send(packet):
-            handle.issue_cycles[index] = self.engine.now
+        if port.forward.try_inject(source, packet):
+            port._callbacks[tag] = (handle, index)
+            handle.issue_cycles[index] = now
             self._next_index = index + 1
-            self._outstanding += 1
             counters = self._trace_counters
             if counters is not None:
                 slot = self._slot_issued
@@ -247,28 +234,21 @@ class PrefetchUnit:
                 counters.values[slot] += 1
             self._issue_tick.schedule()
         else:
-            self._release_tag(tag)
-            stall_start = self.engine.now
-            self._on_send_space(
-                lambda: self._retry_issue(index, address, stall_start)
+            port.forward.on_entry_space(
+                source, partial(self._retry_issue, now)
             )
 
-    def _retry_issue(self, index: int, address: int, stall_start: int) -> None:
-        stalled = self.engine.now - stall_start
+    def _retry_issue(self, stall_start: int) -> None:
+        stalled = self.engine._now - stall_start
         self.network_stall_cycles += stalled
         if self._trace_counters is not None:
             self._trace_counters.add("network_stall_cycles", stalled)
-        self._issue_word(index, address)
-
-    def _crosses_page(self, prev_address: int, address: int) -> bool:
-        page_words = self._page_words
-        return (prev_address // page_words) != (address // page_words)
+        self._issue_next(True)
 
     # -- buffer fill -------------------------------------------------------
 
     def _on_reply(self, handle: PrefetchHandle, index: int) -> None:
         """A read reply reached this CE's prefetch buffer."""
-        self._outstanding -= 1
         if handle.invalidated:
             return  # the buffer was invalidated by a newer fire()
         if self._sanitizer is not None:
@@ -276,24 +256,34 @@ class PrefetchUnit:
             self._sanitizer.check_fullempty_write(
                 self._trace_component, handle, index
             )
-        handle.record_arrival(index, self.engine.now)
+        arrivals = handle.arrival_cycles
+        if arrivals[index] is not None:
+            raise SimulationError(f"duplicate arrival for prefetch word {index}")
+        now = self.engine._now
+        arrivals[index] = now
+        order = handle._arrival_order
+        order.append(now)
+        callbacks = handle._waiters.pop(index, None)
+        if callbacks is not None:
+            for callback in callbacks:
+                callback()
+        arrived = len(order)
         if self.trace is not None:
             counters = self._trace_counters
             slot = self._slot_filled
             if slot < 0:
                 slot = self._slot_filled = counters.slot("buffer_words_filled")
             counters.values[slot] += 1
-            if handle.words_arrived % 32 == 1:
+            if arrived % 32 == 1:
                 self.trace.sample(
-                    self._trace_component, "buffer_fill_words",
-                    handle.words_arrived, self.engine.now,
+                    self._trace_component, "buffer_fill_words", arrived, now,
                 )
-        if handle.complete:
+        if arrived == handle.length:
             self.completed.append(handle)
             if self.trace is not None:
                 self.trace.complete(
                     self._trace_component,
                     f"prefetch[{handle.length}w stride {handle.stride}]",
-                    handle.fire_cycle, self.engine.now,
+                    handle.fire_cycle, now,
                     first_word_latency=handle.first_word_latency(),
                 )

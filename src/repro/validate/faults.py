@@ -136,7 +136,7 @@ def _drill_memory_balance() -> None:
 def _drill_fullempty_prefetch() -> None:
     """A buffer word arrives twice (write-while-full)."""
     handle = PrefetchHandle(length=4, stride=1, start_address=0, fire_cycle=0)
-    handle.record_arrival(0, cycle=5)
+    handle.arrival_cycles[0] = 5  # word 0 is already full
     sanitizer = sanitize.current()
     assert sanitizer is not None
     sanitizer.check_fullempty_write("drill.prefetch", handle, 0)

@@ -70,6 +70,35 @@ class TestGlobalStores:
         assert marks["elapsed"] < 8 * 13
 
 
+class TestDemandSteering:
+    """Demand loads and stores go to the module that owns their word
+    address, whatever interleave the machine declares."""
+
+    def test_requests_land_on_their_owner_under_coarse_interleave(self):
+        from collections import Counter
+
+        from repro.builder import MachineSpec, build_config
+        from repro.hardware import sanitize
+        from repro.hardware.memory import module_for_address
+
+        config = build_config(MachineSpec(memory_modules=16, interleave_words=2))
+        assert module_for_address(17, 16, 2) == 8  # not 17 % 16
+
+        def kernel(ce):
+            yield GlobalLoads(start_address=0, length=40)
+            yield GlobalStores(start_address=0, length=40)
+
+        with sanitize.sanitizing() as sanitizer:
+            machine = CedarMachine(config)
+            machine.run_kernel(kernel, num_ces=1)
+            sanitizer.finalize()
+        assert sanitizer.violations == 0
+        assert sanitizer.checks["memory.balance"] > 0
+        owners = Counter(module_for_address(a, 16, 2) for a in range(40))
+        served = [m.requests_served for m in machine.global_memory.modules]
+        assert served == [2 * owners[m] for m in range(16)]
+
+
 class TestVectorCache:
     def test_pipeline_and_flops(self, machine):
         def kernel(ce):

@@ -81,6 +81,26 @@ class TestFaultDrills:
         assert "[engine.schedule]" in str(error)
         assert isinstance(error, SimulationError)  # catchable as usual
 
+    def test_request_for_another_modules_address_is_caught(self):
+        """A request addressed to the module pulling it, for a word that
+        module does not own, breaks ``memory.balance`` too."""
+        from repro.config import DEFAULT_CONFIG
+        from repro.hardware.memory import MemoryModule
+        from repro.hardware.network import OmegaNetwork
+        from repro.hardware.packet import Packet, PacketKind
+
+        with sanitize.sanitizing():
+            engine = Engine()
+            forward_queue = BoundedWordQueue(8, name="owner.fwd")
+            MemoryModule(
+                engine=engine, index=2, config=DEFAULT_CONFIG.global_memory,
+                sync_config=DEFAULT_CONFIG.sync, forward_queue=forward_queue,
+                reverse=OmegaNetwork(engine, 8, DEFAULT_CONFIG.network),
+            )
+            with pytest.raises(SanitizerError, match="module 5 owns") as excinfo:
+                forward_queue.push(Packet(PacketKind.READ_REQUEST, 0, 2, 5))
+        assert excinfo.value.invariant == "memory.balance"
+
     def test_violation_carries_open_span_context(self):
         tracer = Tracer(enabled=True)
         tracer.set_clock(lambda: 0)
