@@ -54,6 +54,16 @@ class ServeClient:
         finally:
             connection.close()
 
+    @staticmethod
+    def _error(status: int, payload: bytes) -> ServeError:
+        """The server's ``{"error": ...}`` message as a :class:`ServeError`
+        (an evicted or unknown job id is a 404 naming which it is)."""
+        try:
+            message = json.loads(payload.decode("utf-8")).get("error")
+        except ValueError:
+            message = payload[:200].decode("utf-8", "replace")
+        return ServeError(str(message), status=status)
+
     def _request_json(
         self, method: str, path: str, document: Optional[object] = None
     ) -> Tuple[int, Dict[str, str], Dict[str, object]]:
@@ -114,11 +124,7 @@ class ServeClient:
         """The result document bytes and the ``X-Cedar-Cache`` status."""
         status, headers, payload = self._request("GET", f"/jobs/{job_id}/result")
         if status != 200:
-            try:
-                message = json.loads(payload.decode("utf-8")).get("error")
-            except ValueError:
-                message = payload[:200].decode("utf-8", "replace")
-            raise ServeError(str(message), status=status)
+            raise self._error(status, payload)
         return payload, headers.get("x-cedar-cache")
 
     def trace(self, job_id: str) -> bytes:
@@ -130,11 +136,7 @@ class ServeClient:
         """
         status, _, payload = self._request("GET", f"/jobs/{job_id}/trace")
         if status != 200:
-            try:
-                message = json.loads(payload.decode("utf-8")).get("error")
-            except ValueError:
-                message = payload[:200].decode("utf-8", "replace")
-            raise ServeError(str(message), status=status)
+            raise self._error(status, payload)
         return payload
 
     def events(self, job_id: str) -> Iterator[Tuple[str, Dict[str, object]]]:
@@ -144,10 +146,7 @@ class ServeClient:
             connection.request("GET", f"/jobs/{job_id}/events")
             response = connection.getresponse()
             if response.status != 200:
-                raise ServeError(
-                    f"GET /jobs/{job_id}/events -> {response.status}",
-                    status=response.status,
-                )
+                raise self._error(response.status, response.read())
             event_name: Optional[str] = None
             data_text = ""
             while True:
@@ -169,7 +168,11 @@ class ServeClient:
             connection.close()
 
     def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, object]:
-        """Block until the job resolves; returns the final job document."""
+        """Block until the job resolves; returns the final job document.
+
+        Raises :class:`ServeError` (404) at once for an id the server has
+        evicted: resubmit the request, a finished result is cached.
+        """
         deadline = time.monotonic() + timeout
         while True:
             document = self.job(job_id)

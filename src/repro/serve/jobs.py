@@ -23,15 +23,23 @@ first becomes the leader, the rest follow, exactly one simulation runs.
 All serving counters flow through a :class:`repro.metrics.MetricsRegistry`
 so ``GET /metrics`` is the same Prometheus text exposition the bench
 harness already speaks.
+
+A long-running server keeps bounded job state: a finished job stays
+only while it is among the :data:`RETAINED_JOBS` most recently finished,
+then leaves the registry with its events, result reference and trace
+bytes (its result bytes stay in the :class:`ResultCache`).  Queued and
+running jobs, coalesced followers included, are never evicted.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import AsyncIterator, Callable, Dict, List, Optional
+from typing import AsyncIterator, Callable, Deque, Dict, List, Optional
 
 from repro.errors import ServeError, WorkerCrashError
 from repro.metrics import MetricsRegistry
@@ -46,7 +54,15 @@ from repro.version import version_fingerprint
 #: submitter is outrunning the machine; shed load instead of buffering it).
 DEFAULT_QUEUE_LIMIT = 64
 
-_STATES = ("queued", "running", "done", "failed")
+#: Finished (``done`` or ``failed``) jobs kept for lookup; past this the
+#: oldest finished job is evicted.  Its result stays in the cache, so a
+#: resubmission is a hit.
+RETAINED_JOBS = 256
+
+_FINISHED = ("done", "failed")
+
+#: Job ids are ``j1``, ``j2``, ... in submit order.
+_JOB_ID = re.compile(r"j([1-9][0-9]*)")
 
 
 def _ms_since(began: float) -> float:
@@ -80,8 +96,23 @@ class Job:
         self.events: List[Dict[str, object]] = []
         self.created = time.monotonic()
         self.finished_at: Optional[float] = None
-        self.done = asyncio.Event()
-        self._advanced = asyncio.Event()
+        # Created only when something waits on or streams the job, so a
+        # job nothing follows (a cache hit) allocates no event.
+        self._done: Optional[asyncio.Event] = None
+        self._advanced: Optional[asyncio.Event] = None
+
+    @property
+    def finished(self) -> bool:
+        return self.state in _FINISHED
+
+    @property
+    def done(self) -> asyncio.Event:
+        """Set once the job resolves or fails."""
+        if self._done is None:
+            self._done = asyncio.Event()
+            if self.finished:
+                self._done.set()
+        return self._done
 
     # -- observable history -------------------------------------------------
 
@@ -90,7 +121,8 @@ class Job:
         self.events.append(
             {"seq": len(self.events), "event": event, "data": data or {}}
         )
-        self._advanced.set()
+        if self._advanced is not None:
+            self._advanced.set()
 
     async def stream(self, start: int = 0) -> AsyncIterator[Dict[str, object]]:
         """Replay events from ``start``, then follow live until resolution."""
@@ -99,8 +131,10 @@ class Job:
             while index < len(self.events):
                 yield self.events[index]
                 index += 1
-            if self.state in ("done", "failed"):
+            if self.finished:
                 return
+            if self._advanced is None:
+                self._advanced = asyncio.Event()
             self._advanced.clear()
             await self._advanced.wait()
 
@@ -111,20 +145,22 @@ class Job:
         self.post("running", {"experiment": self.experiment})
 
     def resolve(self, source: str, body: bytes) -> None:
-        self.state = "done"
-        self.source = source
         self.result = body
-        self.finished_at = time.monotonic()
-        self.post("done", {"source": source, "bytes": len(body)})
-        self.done.set()
+        self._finish("done", source, {"source": source, "bytes": len(body)})
 
     def fail(self, source: str, error: Dict[str, object]) -> None:
-        self.state = "failed"
-        self.source = source
         self.error = error
+        self._finish("failed", source, dict(error))
+
+    def _finish(self, state: str, source: str, data: Dict[str, object]) -> None:
+        self.state = state
+        self.source = source
         self.finished_at = time.monotonic()
-        self.post("failed", dict(error))
-        self.done.set()
+        self.post(state, data)
+        # Readers already woken hold the event; nothing waits on it again.
+        self._advanced = None
+        if self._done is not None:
+            self._done.set()
 
     @property
     def latency_ms(self) -> Optional[float]:
@@ -175,8 +211,10 @@ class JobRegistry:
         self.cache = cache
         self.metrics = metrics
         self.num_workers = jobs
+        #: Retained jobs in submit order; ``_finished`` holds the ids of
+        #: the finished ones in finish order, oldest (next evicted) first.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._finished: Deque[str] = collections.deque()
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue(maxsize=queue_limit)
         self._coalescer = Coalescer()
         if execute is None:
@@ -198,7 +236,15 @@ class JobRegistry:
         self._trace_bytes = 0
         self._trace_gauge = metrics.gauge(
             "serve_trace_buffer_bytes",
-            help="columnar trace-buffer bytes held across resolved jobs",
+            help="columnar trace-buffer bytes held by retained jobs",
+        )
+        self._retained_gauge = metrics.gauge(
+            "serve_jobs_retained",
+            help="jobs held for lookup (in flight plus recently finished)",
+        )
+        self._evicted = metrics.counter(
+            "serve_jobs_evicted_total",
+            help="finished jobs dropped past the retention bound",
         )
         self._cache_write_errors = metrics.counter(
             "serve_cache_write_errors_total",
@@ -242,35 +288,28 @@ class JobRegistry:
         return created
 
     def _submit_one(self, experiment: str, config: Dict[str, object]) -> Job:
-        self._sequence += 1
-        job = Job(
-            f"j{self._sequence}",
-            experiment,
-            config,
-            cache_key(experiment, config, self._fingerprint),
-        )
+        key = cache_key(experiment, config, self._fingerprint)
         self._counter("serve_jobs_submitted_total", experiment).inc()
-        job.post("submitted", {"experiment": experiment, "config": config})
 
-        body = self.cache.get(job.cache_key)
+        body = self.cache.get(key)
         if body is not None:
             self.metrics.counter(
                 "serve_cache_hits_total",
                 help="requests served from the content-addressed cache",
             ).inc()
-            self._register(job)
+            job = self._register(experiment, config, key)
             job.resolve("cache", body)
             self._counter("serve_jobs_completed_total", experiment).inc()
-            self._observe_latency(job)
+            self._retire(job)
             return job
 
-        if self._coalescer.leader(job.cache_key) is not None:
+        if self._coalescer.leader(key) is not None:
             self.metrics.counter(
                 "serve_coalesced_requests_total",
                 help="requests attached to an identical in-flight job",
             ).inc()
-            leader = self._coalescer.follow(job.cache_key, job.id)
-            self._register(job)
+            job = self._register(experiment, config, key)
+            leader = self._coalescer.follow(key, job.id)
             job.post("coalesced", {"leader": leader})
             return job
 
@@ -278,34 +317,64 @@ class JobRegistry:
             "serve_cache_misses_total",
             help="requests that had to run a simulation",
         ).inc()
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if self._queue.full():
+            # Shed before taking an id: every id up to ``_sequence`` was
+            # registered, which is how ``get`` tells evicted from unknown.
             raise ServeError(
                 f"job queue full ({self._queue.maxsize} queued); retry later",
                 status=503,
-            ) from None
+            )
+        job = self._register(experiment, config, key)
+        self._queue.put_nowait(job)
         job.queued_at = time.perf_counter()
-        self._coalescer.lead(job.cache_key, job.id)
-        self._register(job)
+        self._coalescer.lead(key, job.id)
         self._depth_gauge.set(self._queue.qsize())
         job.post("queued", {"depth": self._queue.qsize()})
         return job
 
-    def _register(self, job: Job) -> None:
+    def _register(
+        self, experiment: str, config: Dict[str, object], key: str
+    ) -> Job:
+        self._sequence += 1
+        job = Job(f"j{self._sequence}", experiment, config, key)
+        job.post("submitted", {"experiment": experiment, "config": config})
         self._jobs[job.id] = job
-        self._order.append(job.id)
+        self._retained_gauge.set(len(self._jobs))
+        return job
+
+    def _retire(self, job: Job) -> None:
+        """Account one finished job, then evict the oldest finished jobs
+        past :data:`RETAINED_JOBS`."""
+        self._latency.observe(job.latency_ms)
+        self._finished.append(job.id)
+        while len(self._finished) > RETAINED_JOBS:
+            evicted = self._jobs.pop(self._finished.popleft())
+            # Followers share their leader's bytes: count them once.
+            if evicted.source == "computed" and evicted.trace is not None:
+                self._trace_bytes -= len(evicted.trace)
+            self._evicted.inc()
+        self._trace_gauge.set(self._trace_bytes)
+        self._retained_gauge.set(len(self._jobs))
 
     # -- lookup -------------------------------------------------------------
 
     def get(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)
-        if job is None:
-            raise ServeError(f"unknown job {job_id!r}", status=404)
-        return job
+        if job is not None:
+            return job
+        number = _JOB_ID.fullmatch(job_id)
+        if number is not None and int(number.group(1)) <= self._sequence:
+            raise ServeError(
+                f"job {job_id} was evicted (only the {RETAINED_JOBS} most "
+                f"recently finished jobs are kept); resubmit it, the result "
+                f"is cached",
+                status=404,
+            )
+        raise ServeError(f"unknown job {job_id!r}", status=404)
 
     def all_jobs(self) -> List[Job]:
-        return [self._jobs[job_id] for job_id in self._order]
+        """Every retained job, in submit order."""
+        return list(self._jobs.values())
 
     # -- execution ----------------------------------------------------------
 
@@ -394,10 +463,9 @@ class JobRegistry:
             job.trace_meta = trace_meta
             self.last_trace_meta = trace_meta
             self._trace_bytes += len(trace)
-            self._trace_gauge.set(self._trace_bytes)
         job.resolve("computed", body)
         self._counter("serve_jobs_completed_total", job.experiment).inc()
-        self._observe_latency(job)
+        self._retire(job)
         for follower_id in followers:
             follower = self._jobs[follower_id]
             follower.trace = trace
@@ -406,22 +474,18 @@ class JobRegistry:
             self._counter(
                 "serve_jobs_completed_total", follower.experiment
             ).inc()
-            self._observe_latency(follower)
+            self._retire(follower)
 
     def _settle_failure(self, job: Job, error: Dict[str, object]) -> None:
         followers = self._coalescer.settle(job.cache_key)
         job.fail("computed", error)
         self._counter("serve_jobs_failed_total", job.experiment).inc()
-        self._observe_latency(job)
+        self._retire(job)
         for follower_id in followers:
             follower = self._jobs[follower_id]
             follower.fail("coalesced", error)
             self._counter("serve_jobs_failed_total", follower.experiment).inc()
-            self._observe_latency(follower)
-
-    def _observe_latency(self, job: Job) -> None:
-        if job.latency_ms is not None:
-            self._latency.observe(job.latency_ms)
+            self._retire(follower)
 
     async def _execute_in_worker_process(
         self, job: Job, post: Callable[[str, Dict[str, object]], None]

@@ -5,7 +5,7 @@ framework, stdlib only, one connection per request.  Routes:
 
 ============================  ==============================================
 ``POST /jobs``                submit an experiment or sweep (JSON body)
-``GET  /jobs``                list all jobs (most recent state)
+``GET  /jobs``                list the retained jobs (most recent state)
 ``GET  /jobs/<id>``           one job document
 ``GET  /jobs/<id>/result``    the result bytes (``X-Cedar-Cache`` header
                               says ``hit``/``miss``/``coalesced``)
@@ -19,6 +19,11 @@ framework, stdlib only, one connection per request.  Routes:
                               counters (jobs, cache, queue, latency)
 ``GET  /healthz``             liveness + version fingerprint
 ============================  ==============================================
+
+Every ``/jobs/<id>`` route answers 404 for an id the server no longer
+holds.  Only the ``RETAINED_JOBS`` most recently finished jobs are kept;
+the error message says when an id was evicted rather than never issued.
+Resubmitting the request of an evicted ``done`` job is a cache hit.
 
 The request path holds the determinism line: submissions are parsed and
 canonicalized by :mod:`repro.serve.schema`, resolved against the

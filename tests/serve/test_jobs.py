@@ -6,6 +6,7 @@ metrics) is tested deterministically without spawning worker processes.
 """
 
 import asyncio
+import gc
 
 import pytest
 
@@ -13,12 +14,14 @@ from repro.errors import ServeError, WorkerCrashError
 from repro.metrics import MetricsRegistry
 from repro.serve import (
     Coalescer,
+    Job,
     JobRegistry,
     JobRequest,
     ResultCache,
     canonical_config,
     cache_key,
 )
+from repro.serve.jobs import RETAINED_JOBS
 from repro.version import version_fingerprint
 
 
@@ -284,3 +287,158 @@ class TestBoundedQueue:
     def test_worker_count_validated(self):
         with pytest.raises(ServeError, match="worker count"):
             JobRegistry(ResultCache(), MetricsRegistry(), jobs=0)
+
+
+def prewarm(harness, experiment):
+    """Store a result for ``experiment`` so submitting it is a cache hit."""
+    key = cache_key(experiment, canonical_config(None), version_fingerprint())
+    harness.cache.put(key, b"warm:" + experiment.encode())
+
+
+def submit_hits(harness, experiment, count):
+    for _ in range(count):
+        harness.registry.submit(request_for(experiment))
+
+
+def count_live(kind):
+    gc.collect()
+    return sum(isinstance(obj, kind) for obj in gc.get_objects())
+
+
+class TestRetention:
+    """Finished jobs past RETAINED_JOBS leave the registry, oldest first."""
+
+    def test_oldest_finished_job_is_evicted_first(self):
+        async def body(harness):
+            prewarm(harness, "table5")
+            (first,) = harness.registry.submit(request_for("table2"))
+            await settled(first)
+            submit_hits(harness, "table5", RETAINED_JOBS - 1)
+            assert len(harness.registry.all_jobs()) == RETAINED_JOBS
+            assert harness.counter("serve_jobs_evicted_total") == 0
+
+            submit_hits(harness, "table5", 1)
+            with pytest.raises(ServeError) as info:
+                harness.registry.get(first.id)
+            assert info.value.status == 404
+            assert str(info.value) == (
+                f"job {first.id} was evicted (only the {RETAINED_JOBS} most "
+                "recently finished jobs are kept); resubmit it, the result "
+                "is cached"
+            )
+            assert harness.registry.get("j2").state == "done"
+            submit_hits(harness, "table5", 1)
+            with pytest.raises(ServeError, match="j2 was evicted"):
+                harness.registry.get("j2")
+            ids = [job.id for job in harness.registry.all_jobs()]
+            assert ids == [f"j{n}" for n in range(3, RETAINED_JOBS + 3)]
+            assert harness.counter("serve_jobs_evicted_total") == 2
+            assert (
+                harness.metrics.gauge("serve_jobs_retained").value
+                == RETAINED_JOBS
+            )
+            # The evicted request's bytes are still cached.
+            (again,) = harness.registry.submit(request_for("table2"))
+            assert again.source == "cache"
+            assert again.result == first.result
+
+        run_with_harness(body)
+
+    def test_ids_never_issued_stay_unknown(self):
+        async def body(harness):
+            harness.gate = asyncio.Event()
+            harness.registry.submit(request_for("table1"))
+            for _ in range(200):
+                if harness.executions:
+                    break
+                await asyncio.sleep(0.01)
+            harness.registry.submit(request_for("table2"))
+            with pytest.raises(ServeError):
+                harness.registry.submit(request_for("table5"))  # shed: 503
+            # A shed request takes no id, so the next one is j3.
+            (follower,) = harness.registry.submit(request_for("table2"))
+            assert follower.id == "j3"
+            for job_id in ("j4", "j0", "j01", "3", "jx"):
+                with pytest.raises(ServeError, match="unknown job"):
+                    harness.registry.get(job_id)
+            harness.gate.set()
+
+        run_with_harness(body, jobs=1, queue_limit=1)
+
+    def test_in_flight_leaders_and_followers_survive(self):
+        async def body(harness):
+            prewarm(harness, "table5")
+            harness.gate = asyncio.Event()
+            running = harness.registry.submit(request_for("table2"))[0]
+            queued = harness.registry.submit(request_for("table3"))[0]
+            follower = harness.registry.submit(request_for("table2"))[0]
+            submit_hits(harness, "table5", 2 * RETAINED_JOBS)
+            in_flight = (running, queued, follower)
+            for job in in_flight:
+                assert harness.registry.get(job.id) is job
+                assert not job.finished
+            assert len(harness.registry.all_jobs()) == RETAINED_JOBS + 3
+            harness.gate.set()
+            for job in in_flight:
+                await settled(job)
+            # Now the three most recently finished, they are kept.
+            for job in in_flight:
+                assert harness.registry.get(job.id).state == "done"
+            assert len(harness.registry.all_jobs()) == RETAINED_JOBS
+            assert (
+                harness.counter("serve_jobs_evicted_total")
+                == 2 * RETAINED_JOBS + 3 - RETAINED_JOBS
+            )
+
+        run_with_harness(body, jobs=1)
+
+    def test_stream_following_a_job_that_is_evicted_still_ends(self):
+        async def body(harness):
+            prewarm(harness, "table5")
+            harness.gate = asyncio.Event()
+            (job,) = harness.registry.submit(request_for("table2"))
+            stream = job.stream()
+            first = await stream.__anext__()
+            harness.gate.set()
+            await settled(job)
+            submit_hits(harness, "table5", RETAINED_JOBS)
+            with pytest.raises(ServeError, match="was evicted"):
+                harness.registry.get(job.id)
+            rest = [event["event"] async for event in stream]
+            assert [first["event"]] + rest == [
+                "submitted", "queued", "running", "progress", "done",
+            ]
+
+        run_with_harness(body)
+
+    def test_job_objects_stay_bounded_and_hits_allocate_no_event(self):
+        async def body(harness):
+            prewarm(harness, "table5")
+            harness.gate = asyncio.Event()
+            in_flight = 2
+            harness.registry.submit(request_for("table2"))  # leader
+            harness.registry.submit(request_for("table2"))  # follower
+            unrelated = count_live(Job) - in_flight  # left by other tests
+            events_before = count_live(asyncio.Event)
+            submit_hits(harness, "table5", 2 * RETAINED_JOBS)
+            assert count_live(Job) - unrelated <= RETAINED_JOBS + in_flight
+            assert count_live(asyncio.Event) == events_before
+            harness.gate.set()
+
+        run_with_harness(body)
+
+    def test_done_event_works_before_and_after_resolution(self):
+        async def body(harness):
+            prewarm(harness, "table5")
+            (hit,) = harness.registry.submit(request_for("table5"))
+            await asyncio.wait_for(hit.done.wait(), timeout=1)
+            harness.gate = asyncio.Event()
+            (job,) = harness.registry.submit(request_for("table2"))
+            waiter = asyncio.ensure_future(job.done.wait())
+            await asyncio.sleep(0)
+            assert not waiter.done()
+            harness.gate.set()
+            await asyncio.wait_for(waiter, timeout=10)
+            assert job.state == "done"
+
+        run_with_harness(body)

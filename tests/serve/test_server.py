@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ServeError, WorkerCrashError
 from repro.metrics import MetricsRegistry, parse_prometheus
 from repro.serve import JobRegistry, JobServer, ResultCache, ServeClient
+from repro.serve.jobs import RETAINED_JOBS
 from repro.version import version_fingerprint
 
 
@@ -364,6 +365,132 @@ class TestTraceTelemetry:
             with pytest.raises(ServeError) as info:
                 client.trace(job_id)
             assert info.value.status == 404
+
+
+class TestEviction:
+    """Finished jobs past RETAINED_JOBS are evicted; their ids answer a
+    404 that says so, on every route and through the client."""
+
+    @staticmethod
+    def _warm_repeats(client, experiment, count):
+        for _ in range(count):
+            assert client.submit(experiment)["cache_status"] == "hit"
+
+    def test_evicted_id_is_a_distinct_404_everywhere(self):
+        server, stub = stub_server(trace=b"trace-bytes", trace_meta={})
+        with server:
+            client = server.client
+            first = client.submit("table2")["job"]["id"]
+            client.wait(first, timeout=10)
+            cold, _ = client.result(first)
+            self._warm_repeats(client, "table2", RETAINED_JOBS)
+
+            expected = (
+                f"job {first} was evicted (only the {RETAINED_JOBS} most "
+                "recently finished jobs are kept); resubmit it, the result "
+                "is cached"
+            )
+            for call in (client.job, client.wait, client.result, client.trace,
+                         lambda job_id: list(client.events(job_id))):
+                with pytest.raises(ServeError) as info:
+                    call(first)
+                assert info.value.status == 404
+                assert str(info.value) == expected
+            status, _, payload = client._request("GET", f"/jobs/{first}")
+            assert status == 404
+            assert json.loads(payload) == {"error": expected}
+            with pytest.raises(ServeError) as info:
+                client.job("j999999")
+            assert info.value.status == 404
+            assert "unknown job" in str(info.value)
+
+            assert len(client.jobs()) == RETAINED_JOBS
+            assert client.healthz()["jobs"] == RETAINED_JOBS
+            samples = parse_prometheus(client.metrics_text())
+            assert samples["serve_jobs_evicted_total"] == 1
+            assert samples["serve_jobs_retained"] == RETAINED_JOBS
+            again = client.submit("table2")
+            assert again["cache_status"] == "hit"
+            assert client.result(again["job"]["id"])[0] == cold
+            assert len(stub.calls) == 1
+
+    def test_retention_metrics_are_registered_at_zero(self):
+        server, _ = stub_server()
+        with server:
+            samples = parse_prometheus(server.client.metrics_text())
+            assert samples["serve_jobs_retained"] == 0
+            assert samples["serve_jobs_evicted_total"] == 0
+
+    def test_trace_gauge_falls_when_a_leader_is_evicted(self):
+        trace = _stub_trace_bytes()
+        server, stub = stub_server(trace=trace, trace_meta={})
+        stub.gate = asyncio.Event()
+        with server:
+            client = server.client
+            leader = client.submit("table2")["job"]["id"]
+            follower = client.submit("table2")["job"]["id"]
+            server.call_in_loop(stub.gate.set)
+            client.wait(leader, timeout=10)
+            client.wait(follower, timeout=10)
+            other = client.submit("table5")["job"]["id"]
+            client.wait(other, timeout=10)
+
+            def gauge():
+                return parse_prometheus(client.metrics_text())[
+                    "serve_trace_buffer_bytes"
+                ]
+
+            # The follower shares its leader's bytes: counted once.
+            assert gauge() == 2 * len(trace)
+            self._warm_repeats(client, "table5", RETAINED_JOBS - 3)
+            assert gauge() == 2 * len(trace)
+            self._warm_repeats(client, "table5", 1)
+            with pytest.raises(ServeError, match="was evicted"):
+                client.job(leader)
+            assert gauge() == len(trace)
+            self._warm_repeats(client, "table5", 2)
+            with pytest.raises(ServeError, match="was evicted"):
+                client.job(other)
+            assert gauge() == 0
+
+    def test_open_event_stream_ends_after_its_job_is_evicted(self):
+        server, stub = stub_server()
+        stub.gate = asyncio.Event()
+        with server:
+            client = server.client
+            job_id = client.submit("table2")["job"]["id"]
+            stream = client.events(job_id)
+            assert next(stream)[0] == "submitted"
+            server.call_in_loop(stub.gate.set)
+            client.wait(job_id, timeout=10)
+            self._warm_repeats(client, "table2", RETAINED_JOBS)
+            with pytest.raises(ServeError, match="was evicted"):
+                client.job(job_id)
+            names = [name for name, _ in stream]
+            assert names == ["queued", "running", "progress", "done", "end"]
+
+    def test_cli_submit_reports_an_evicted_job_without_a_traceback(
+        self, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        server, _ = stub_server()
+        with server:
+            client = server.client
+            first = client.submit("table2")["job"]["id"]
+            client.wait(first, timeout=10)
+            self._warm_repeats(client, "table2", RETAINED_JOBS)
+            # The CLI is told of a job the server has since evicted.
+            monkeypatch.setattr(
+                ServeClient, "submit",
+                lambda self, *args, **kwargs: {"jobs": [{"id": first}]},
+            )
+            code = main(["submit", "table2", "--port", str(server.server.port)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"job {first} was evicted" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class _FullDiskCache(ResultCache):
