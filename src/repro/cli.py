@@ -963,42 +963,42 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"--config is not valid JSON: {error}", file=sys.stderr)
             return 2
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    try:
-        response = client.submit(args.experiment, config=config)
-        documents: List[bytes] = []
-        for submitted in response["jobs"]:
-            job_id = submitted["id"]
-            if args.watch:
-                for event, data in client.events(job_id):
-                    print(f"[{job_id}] {event}: {json.dumps(data, sort_keys=True)}",
-                          file=sys.stderr)
-            final = client.wait(job_id, timeout=args.timeout)
-            if final["state"] == "failed":
-                error = final.get("error", {})
+    with ServeClient(args.host, args.port, timeout=args.timeout) as client:
+        try:
+            response = client.submit(args.experiment, config=config)
+            documents: List[bytes] = []
+            for submitted in response["jobs"]:
+                job_id = submitted["id"]
+                if args.watch:
+                    for event, data in client.events(job_id):
+                        print(f"[{job_id}] {event}: {json.dumps(data, sort_keys=True)}",
+                              file=sys.stderr)
+                final = client.wait(job_id, timeout=args.timeout)
+                if final["state"] == "failed":
+                    error = final.get("error", {})
+                    print(
+                        f"job {job_id} ({final['experiment']}) failed: "
+                        f"{error.get('message', 'unknown error')}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                body, cache_status = client.result(job_id)
                 print(
-                    f"job {job_id} ({final['experiment']}) failed: "
-                    f"{error.get('message', 'unknown error')}",
+                    f"job {job_id} ({final['experiment']}): {final['state']} "
+                    f"[{cache_status}] in {final.get('latency_ms', 0):.0f} ms",
                     file=sys.stderr,
                 )
-                return 1
-            body, cache_status = client.result(job_id)
+                documents.append(body)
+        except ServeError as error:
+            print(str(error), file=sys.stderr)
+            return 1
+        except ConnectionError as error:
             print(
-                f"job {job_id} ({final['experiment']}): {final['state']} "
-                f"[{cache_status}] in {final.get('latency_ms', 0):.0f} ms",
+                f"cannot reach cedar-repro serve at {args.host}:{args.port}: "
+                f"{error}",
                 file=sys.stderr,
             )
-            documents.append(body)
-    except ServeError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    except ConnectionError as error:
-        print(
-            f"cannot reach cedar-repro serve at {args.host}:{args.port}: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 2
+            return 2
     output = b"".join(documents)
     if args.out:
         with open(args.out, "wb") as stream:

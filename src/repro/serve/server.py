@@ -1,7 +1,11 @@
 """`cedar-repro serve`: the asyncio HTTP/JSON front of the simulator.
 
 A deliberately small HTTP/1.1 implementation on ``asyncio`` streams -- no
-framework, stdlib only, one connection per request.  Routes:
+framework, stdlib only.  Connections are persistent: the server answers
+requests on one connection until the client closes it, sends an
+HTTP/1.0 request or ``Connection: close``, asks for an event stream, or
+breaks the request framing; exactly those responses carry
+``Connection: close``.  Routes:
 
 ============================  ==============================================
 ``POST /jobs``                submit an experiment or sweep (JSON body)
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ServeError
 from repro.experiments.registry import EXPERIMENTS
@@ -67,6 +71,35 @@ _REASONS = {
 _CACHE_HEADER = {"cache": "hit", "computed": "miss", "coalesced": "coalesced"}
 
 
+class _Request(NamedTuple):
+    method: str
+    path: str
+    body: bytes
+    #: False when the client asked to close after this exchange
+    #: (HTTP/1.0, or a ``Connection: close`` header).
+    keep_alive: bool
+
+
+class _Response(NamedTuple):
+    status: int
+    body: bytes
+    content_type: str = "application/json"
+    headers: Tuple[Tuple[str, str], ...] = ()
+
+
+def _json_response(
+    status: int,
+    document: Dict[str, object],
+    headers: Tuple[Tuple[str, str], ...] = (),
+) -> _Response:
+    body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+    return _Response(status, body, headers=headers)
+
+
+def _error_response(status: int, message: str) -> _Response:
+    return _json_response(status, {"error": message})
+
+
 class JobServer:
     """One serving instance: HTTP front, job registry, cache, metrics."""
 
@@ -87,6 +120,15 @@ class JobServer:
             self.cache, self.metrics, jobs=jobs, queue_limit=queue_limit
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: One handler task per open connection, so ``stop()`` can end
+        #: them: an idle keep-alive client would otherwise hold it open.
+        self._connections: Set["asyncio.Task"] = set()
+        self._connections_total = self.metrics.counter(
+            "serve_connections_total", help="TCP connections accepted"
+        )
+        self._connections_open = self.metrics.gauge(
+            "serve_connections_open", help="TCP connections currently open"
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -101,6 +143,10 @@ class JobServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            handlers = list(self._connections)
+            for handler in handlers:
+                handler.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.registry.close()
@@ -114,27 +160,48 @@ class JobServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections.add(handler)
+        self._connections_total.inc()
+        self._connections_open.set(len(self._connections))
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except ServeError as error:
-                await self._send_json(
-                    writer, error.status, {"error": str(error)}
-                )
-                return
-            try:
-                await self._route(method, path, body, writer)
-            except ServeError as error:
-                await self._send_json(
-                    writer, error.status, {"error": str(error)}
-                )
-            except Exception as error:  # never leak a traceback as a hang
-                await self._send_json(
-                    writer, 500, {"error": f"internal error: {error!r}"}
-                )
+            while True:
+                try:
+                    request = await self._read_request(reader)
+                except ServeError as error:
+                    # Broken framing: where the next request starts is
+                    # unknown, so answer and close.
+                    await self._send(
+                        writer, _error_response(error.status, str(error)),
+                        close=True,
+                    )
+                    return
+                if request is None:  # the client closed between requests
+                    return
+                try:
+                    response = await self._route(request, writer)
+                except ServeError as error:
+                    response = _error_response(error.status, str(error))
+                except Exception as error:  # never leak a traceback as a hang
+                    response = _error_response(
+                        500, f"internal error: {error!r}"
+                    )
+                if response is None:  # an event stream, closed when it ended
+                    return
+                await self._send(writer, response, close=not request.keep_alive)
+                if not request.keep_alive:
+                    return
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # stop() cancelled this connection and awaits it; ending
+            # normally keeps asyncio (before 3.12) from logging the
+            # cancelled task as an unhandled client_connected_cb error.
+            pass
         finally:
+            self._connections.discard(handler)
+            self._connections_open.set(len(self._connections))
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -143,36 +210,56 @@ class JobServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes]:
+    ) -> Optional[_Request]:
+        """The next request on the connection, or ``None`` when the client
+        closed it cleanly before sending one.  Raises :class:`ServeError`
+        (400 or 413) when the request's framing is broken."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             raise ServeError("request head too large", status=413) from None
-        except asyncio.IncompleteReadError:
+        except asyncio.IncompleteReadError as error:
+            if not error.partial:
+                return None
             raise ServeError("truncated request", status=400) from None
         request_line, _, header_block = head.partition(b"\r\n")
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise ServeError(f"malformed request line {request_line!r}")
-        method, path, _version = parts
+        method, path, version = parts
         headers: Dict[str, str] = {}
         for line in header_block.decode("latin-1").split("\r\n"):
             if not line:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        if "transfer-encoding" in headers:
+            raise ServeError(
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length"
+            )
+        length_text = headers.get("content-length", "0") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ServeError(f"invalid Content-Length {length_text!r}")
+        length = int(length_text)
         if length > MAX_REQUEST_BYTES:
             raise ServeError("request body too large", status=413)
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, body
+        tokens = headers.get("connection", "").lower().split(",")
+        keep_alive = version != "HTTP/1.0" and "close" not in (
+            token.strip() for token in tokens
+        )
+        return _Request(method.upper(), path, body, keep_alive)
 
     # -- routing ------------------------------------------------------------
 
     async def _route(
-        self, method: str, path: str, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        path = path.split("?", 1)[0]
+        self, request: _Request, writer: asyncio.StreamWriter
+    ) -> Optional[_Response]:
+        """The response to ``request``; ``None`` when the route streamed
+        its own response on ``writer`` (server-sent events)."""
+        method = request.method
+        path = request.path.split("?", 1)[0]
         if path == "/healthz" and method == "GET":
             document = {
                 "status": "ok",
@@ -180,27 +267,24 @@ class JobServer:
                 "workers": self.registry.num_workers,
                 "jobs": len(self.registry.all_jobs()),
                 "cached_results": len(self.cache),
+                "connections_open": len(self._connections),
             }
             meta = self.registry.last_trace_meta
             if meta is not None:
                 document["trace_buffer_bytes"] = meta.get("buffer_bytes")
-            await self._send_json(writer, 200, document)
-            return
+            return _json_response(200, document)
         if path == "/metrics" and method == "GET":
-            await self._send(
-                writer, 200, prometheus_text(self.metrics).encode("utf-8"),
+            return _Response(
+                200, prometheus_text(self.metrics).encode("utf-8"),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
-            return
         if path == "/jobs":
             if method == "POST":
-                await self._post_jobs(body, writer)
-                return
+                return self._post_jobs(request.body)
             if method == "GET":
-                await self._send_json(writer, 200, {
+                return _json_response(200, {
                     "jobs": [job.public() for job in self.registry.all_jobs()]
                 })
-                return
             raise ServeError("use GET or POST on /jobs", status=405)
         if path.startswith("/jobs/"):
             remainder = path[len("/jobs/"):]
@@ -209,22 +293,17 @@ class JobServer:
             job_id, _, tail = remainder.partition("/")
             job = self.registry.get(job_id)
             if tail == "":
-                await self._send_json(writer, 200, job.public())
-                return
+                return _json_response(200, job.public())
             if tail == "result":
-                await self._get_result(job, writer)
-                return
+                return self._get_result(job)
             if tail == "trace":
-                await self._get_trace(job, writer)
-                return
+                return self._get_trace(job)
             if tail == "events":
                 await self._stream_events(job, writer)
-                return
+                return None
         raise ServeError(f"no route for {method} {path}", status=404)
 
-    async def _post_jobs(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
+    def _post_jobs(self, body: bytes) -> _Response:
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (ValueError, UnicodeDecodeError) as error:
@@ -234,37 +313,35 @@ class JobServer:
         document: Dict[str, object] = {
             "jobs": [job.public() for job in jobs],
         }
-        headers = []
+        headers: Tuple[Tuple[str, str], ...] = ()
         if len(jobs) == 1:
             document["job"] = jobs[0].public()
             cache_state = _CACHE_HEADER.get(jobs[0].source or "", "miss")
-            headers.append(("X-Cedar-Cache", cache_state))
+            headers = (("X-Cedar-Cache", cache_state),)
         status = 200 if all(job.state == "done" for job in jobs) else 202
-        await self._send_json(writer, status, document, extra_headers=headers)
+        return _json_response(status, document, headers)
 
-    async def _get_result(self, job: Job, writer: asyncio.StreamWriter) -> None:
+    def _get_result(self, job: Job) -> _Response:
         if job.state in ("queued", "running"):
             raise ServeError(
                 f"job {job.id} is {job.state}; result not ready", status=409
             )
         if job.state == "failed":
-            await self._send_json(writer, 500, {
+            return _json_response(500, {
                 "error": f"job {job.id} failed",
                 "job": job.public(),
             })
-            return
         assert job.result is not None
-        await self._send(
-            writer, 200, job.result,
-            content_type="application/json",
-            extra_headers=[
+        return _Response(
+            200, job.result,
+            headers=(
                 ("X-Cedar-Cache", _CACHE_HEADER.get(job.source or "", "miss")),
                 ("X-Cedar-Job", job.id),
-            ],
+            ),
         )
 
-    async def _get_trace(self, job: Job, writer: asyncio.StreamWriter) -> None:
-        """Stream the job's columnar trace snapshot (wire format)."""
+    def _get_trace(self, job: Job) -> _Response:
+        """The job's columnar trace snapshot (wire format)."""
         if job.state in ("queued", "running"):
             raise ServeError(
                 f"job {job.id} is {job.state}; trace not ready", status=409
@@ -274,14 +351,15 @@ class JobServer:
                 f"job {job.id} has no trace buffer (cache hits never ran)",
                 status=404,
             )
-        await self._send(
-            writer, 200, job.trace,
+        return _Response(
+            200, job.trace,
             content_type="application/octet-stream",
-            extra_headers=[("X-Cedar-Job", job.id)],
+            headers=(("X-Cedar-Job", job.id),),
         )
 
     async def _stream_events(self, job: Job, writer: asyncio.StreamWriter) -> None:
-        """Server-sent events over a chunked response, one event per chunk."""
+        """Server-sent events over a chunked response, one event per chunk.
+        The connection closes when the stream ends."""
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: text/event-stream\r\n"
@@ -307,36 +385,25 @@ class JobServer:
 
     # -- response helpers ---------------------------------------------------
 
+    @staticmethod
     async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: Optional[List[Tuple[str, str]]] = None,
+        writer: asyncio.StreamWriter, response: _Response, close: bool
     ) -> None:
-        reason = _REASONS.get(status, "Unknown")
+        """Write ``response`` as one head-and-body write; ``close`` says
+        the server closes the connection after it."""
+        reason = _REASONS.get(response.status, "Unknown")
         lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
+            f"HTTP/1.1 {response.status} {reason}",
+            f"Content-Type: {response.content_type}",
+            f"Content-Length: {len(response.body)}",
         ]
-        for name, value in extra_headers or []:
+        if close:
+            lines.append("Connection: close")
+        for name, value in response.headers:
             lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
+        writer.write(head + response.body)
         await writer.drain()
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        document: Dict[str, object],
-        extra_headers: Optional[List[Tuple[str, str]]] = None,
-    ) -> None:
-        body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        await self._send(writer, status, body, extra_headers=extra_headers)
 
 
 async def serve_forever(

@@ -12,14 +12,16 @@ submissions cost exactly one simulation.
 import asyncio
 import concurrent.futures
 import json
+import logging
 import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.errors import ServeError, WorkerCrashError
-from repro.metrics import MetricsRegistry, parse_prometheus
+from repro.metrics import MetricsRegistry, parse_prometheus, prometheus_text
 from repro.serve import JobRegistry, JobServer, ResultCache, ServeClient
 from repro.serve.jobs import RETAINED_JOBS
 from repro.version import version_fingerprint
@@ -62,6 +64,7 @@ class ServerThread:
             cache_dir=cache_dir, registry=registry,
         )
         self.loop = asyncio.new_event_loop()
+        self._clients = []
         self._stop = asyncio.Event()
         self._ready = threading.Event()
         self._thread = threading.Thread(
@@ -87,6 +90,8 @@ class ServerThread:
         return self
 
     def __exit__(self, *exc_info):
+        for client in self._clients:
+            client.close()  # this thread's kept-alive connection
         self.loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=10)
 
@@ -95,7 +100,9 @@ class ServerThread:
 
     @property
     def client(self):
-        return ServeClient(port=self.server.port, timeout=30)
+        client = ServeClient(port=self.server.port, timeout=30)
+        self._clients.append(client)
+        return client
 
 
 def stub_server(jobs=1, queue_limit=64, trace=None, trace_meta=None):
@@ -659,3 +666,395 @@ class TestRealSimulation:
             with pytest.raises(ServeError) as info:
                 client.trace(warm_doc["job"]["id"])
             assert info.value.status == 404
+
+
+def _connections_total(client):
+    return parse_prometheus(client.metrics_text())["serve_connections_total"]
+
+
+def _raw_exchange(port, request):
+    """Send raw ``request`` bytes, read until the server closes; returns
+    (everything received, whether the server closed within 5 s)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        received = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received, True
+                received += chunk
+        except socket.timeout:
+            return received, False
+
+
+def _head(response):
+    return response.partition(b"\r\n\r\n")[0].decode("latin-1")
+
+
+class TestPersistentConnections:
+    """One kept-alive connection per client thread; the server closes
+    exactly where it says ``Connection: close``."""
+
+    def test_connection_metrics_are_registered_at_zero(self):
+        server, _ = stub_server()
+        with server:
+            samples = parse_prometheus(prometheus_text(server.server.metrics))
+            assert samples["serve_connections_total"] == 0
+            assert samples["serve_connections_open"] == 0
+            client = server.client
+            samples = parse_prometheus(client.metrics_text())
+            # The scrape itself arrives on the first connection.
+            assert samples["serve_connections_total"] == 1
+            assert samples["serve_connections_open"] == 1
+            assert client.healthz()["connections_open"] == 1
+
+    def test_warm_hits_from_one_thread_share_one_connection(self):
+        server, _ = stub_server()
+        with server:
+            observer = server.client
+            client = server.client
+            client.wait(client.submit("table2")["job"]["id"], timeout=10)
+            client.close()
+            before = _connections_total(observer)
+            for _ in range(50):
+                job = client.submit("table2")["job"]
+                assert job["source"] == "cache"
+                assert client.result(job["id"])[1] == "hit"
+            assert _connections_total(observer) - before == 1
+
+    def test_each_client_thread_keeps_its_own_connection(self):
+        server, _ = stub_server()
+        with server:
+            observer = server.client
+            client = server.client
+            client.wait(client.submit("table2")["job"]["id"], timeout=10)
+            client.close()
+            before = _connections_total(observer)
+            statuses = []
+
+            def hits():
+                for _ in range(25):
+                    job = client.submit("table2")["job"]
+                    statuses.append(client.result(job["id"])[1])
+                client.close()
+
+            threads = [threading.Thread(target=hits) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert statuses == ["hit"] * 50
+            assert _connections_total(observer) - before == 2
+            wait_for(lambda: observer.healthz()["connections_open"] == 1)
+
+    def test_keep_alive_responses_do_not_say_close(self):
+        server, _ = stub_server()
+        with server:
+            request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            received, closed = _raw_exchange(
+                server.server.port, request * 2 + b"GET /healthz HTTP/1.0\r\n\r\n"
+            )
+            assert closed
+            responses = received.split(b"HTTP/1.1 200 OK")[1:]
+            assert len(responses) == 3
+            assert [b"Connection: close" in r for r in responses] == [
+                False, False, True,
+            ]
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n",
+    ])
+    def test_close_requests_get_connection_close_then_eof(self, request_bytes):
+        server, _ = stub_server()
+        with server:
+            received, closed = _raw_exchange(server.server.port, request_bytes)
+            assert closed
+            assert "Connection: close" in _head(received).split("\r\n")
+            assert json.loads(received.partition(b"\r\n\r\n")[2])["status"] == "ok"
+
+    def test_event_stream_says_close_then_closes(self):
+        server, _ = stub_server()
+        with server:
+            client = server.client
+            job_id = client.submit("table2")["job"]["id"]
+            client.wait(job_id, timeout=10)
+            received, closed = _raw_exchange(
+                server.server.port,
+                f"GET /jobs/{job_id}/events HTTP/1.1\r\n\r\n".encode(),
+            )
+            assert closed
+            assert "Connection: close" in _head(received).split("\r\n")
+            assert received.endswith(b"0\r\n\r\n")
+
+    def test_eof_between_requests_is_a_clean_close(self, caplog):
+        caplog.set_level("DEBUG")
+        server, _ = stub_server()
+        with server:
+            with socket.create_connection(
+                ("127.0.0.1", server.server.port), timeout=5
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    head += sock.recv(65536)
+                length = int(
+                    head.split(b"Content-Length: ")[1].split(b"\r\n")[0]
+                )
+                body = head.partition(b"\r\n\r\n")[2]
+                while len(body) < length:
+                    body += sock.recv(65536)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(65536) == b""  # no 400, just EOF
+            wait_for(
+                lambda: server.client.healthz()["connections_open"] == 1
+            )
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+    def test_truncated_head_is_still_a_400(self):
+        server, _ = stub_server()
+        with server:
+            with socket.create_connection(
+                ("127.0.0.1", server.server.port), timeout=5
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+            assert received.startswith(b"HTTP/1.1 400 ")
+            assert b"truncated request" in received
+
+    def test_stop_returns_while_a_client_holds_an_idle_connection(self):
+        server, _ = stub_server()
+        server.__enter__()
+        client = server.client
+        assert client.healthz()["connections_open"] == 1
+        began = time.monotonic()
+        server.__exit__(None, None, None)
+        assert time.monotonic() - began < 2
+        assert not server._thread.is_alive()
+        # The server closed the idle connection: the client's one retry
+        # finds nothing listening and fails instead of hanging.
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+
+    def test_client_context_closes_its_connection(self):
+        server, _ = stub_server()
+        with server:
+            observer = server.client
+            with server.client as client:
+                client.healthz()
+                assert observer.healthz()["connections_open"] == 2
+            wait_for(lambda: observer.healthz()["connections_open"] == 1)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"Content-Length: abc", "invalid Content-Length 'abc'"),
+    (b"Content-Length: -5", "invalid Content-Length '-5'"),
+    (b"Transfer-Encoding: chunked", "Transfer-Encoding"),
+])
+def test_broken_request_framing_is_a_400_and_a_close(header, message):
+    server, stub = stub_server()
+    with server:
+        # A chunked body whose bytes must not be read as a second request.
+        request = (
+            b"POST /jobs HTTP/1.1\r\n" + header + b"\r\n\r\n"
+            b"5\r\nGET /\r\n0\r\n\r\n"
+        )
+        received, closed = _raw_exchange(server.server.port, request)
+        assert closed
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert "Connection: close" in _head(received).split("\r\n")
+        error = json.loads(received.partition(b"\r\n\r\n")[2])["error"]
+        assert message in error
+        assert stub.calls == []
+        assert server.client.healthz()["status"] == "ok"
+
+
+class ScriptedServer:
+    """A raw TCP server that runs ``script(sock, index, server)`` on each
+    accepted connection, one thread each, to drive the client through failures a
+    well-behaved server never produces on demand."""
+
+    def __init__(self, script):
+        self.script = script
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(10)
+        self.port = self.listener.getsockname()[1]
+        self.release = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            threading.Thread(
+                target=self._serve, args=(sock, self.accepted - 1), daemon=True
+            ).start()
+
+    def _serve(self, sock, index):
+        with sock:
+            try:
+                self.script(sock, index, self)
+            except OSError:
+                pass
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release.set()
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.listener.close()
+        self._thread.join(timeout=10)
+
+    @staticmethod
+    def read_request(sock):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return None
+            data += chunk
+        return data
+
+    @staticmethod
+    def answer(sock, body=b'{"status": "ok"}', declared=None):
+        length = len(body) if declared is None else declared
+        sock.sendall(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % length + body
+        )
+
+
+class TestClientReconnects:
+    def test_recovers_once_when_the_server_closes_an_idle_connection(self):
+        def answer_one_then_close(sock, index, server):
+            if server.read_request(sock) is not None:
+                server.answer(sock)
+
+        with ScriptedServer(answer_one_then_close) as fake:
+            with ServeClient(port=fake.port, timeout=5) as client:
+                for _ in range(3):
+                    assert client.healthz() == {"status": "ok"}
+            # Each request after the first found its kept connection
+            # closed, and reconnected once.
+            assert fake.accepted == 3
+
+    def test_a_failed_retry_is_not_retried_again(self):
+        def answer_first_connection_only(sock, index, server):
+            if server.read_request(sock) is not None and index == 0:
+                server.answer(sock)
+
+        with ScriptedServer(answer_first_connection_only) as fake:
+            with ServeClient(port=fake.port, timeout=5) as client:
+                assert client.healthz() == {"status": "ok"}
+                with pytest.raises(ConnectionError):
+                    client.healthz()
+            assert fake.accepted == 2
+
+    def test_a_fresh_connection_is_never_retried(self):
+        def drop(sock, index, server):
+            server.read_request(sock)
+
+        with ScriptedServer(drop) as fake:
+            client = ServeClient(port=fake.port, timeout=5)
+            with pytest.raises(ConnectionError):
+                client.healthz()
+            assert fake.accepted == 1
+
+    def test_a_refused_connection_is_not_retried(self, monkeypatch):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        client = ServeClient(port=port, timeout=5)
+        opened = []
+        real = ServeClient._connection
+
+        def counting(self, timeout=None):
+            opened.append(timeout)
+            return real(self, timeout)
+
+        monkeypatch.setattr(ServeClient, "_connection", counting)
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+        assert len(opened) == 1
+
+    def test_timeout_mid_response_leaves_the_next_request_working(self):
+        def stall_first_response(sock, index, server):
+            while server.read_request(sock) is not None:
+                if index == 0:
+                    # Promise 100 bytes, send 10, then go silent.
+                    server.answer(sock, body=b'{"a": 1}  ', declared=100)
+                    server.release.wait(10)
+                    return
+                server.answer(sock)
+
+        with ScriptedServer(stall_first_response) as fake:
+            with ServeClient(port=fake.port, timeout=0.3) as client:
+                with pytest.raises(TimeoutError):
+                    client.healthz()
+                assert client.healthz() == {"status": "ok"}
+                assert client.healthz() == {"status": "ok"}
+            assert fake.accepted == 2
+
+
+class TestWaitFollowsTheEventStream:
+    def test_wait_does_not_poll(self):
+        server, stub = stub_server()
+        stub.gate = asyncio.Event()
+        with server:
+            client = server.client
+            job_id = client.submit("table2")["job"]["id"]
+            requests = []
+            real = ServeClient._request
+
+            def counting(self, method, path, body=None):
+                requests.append((method, path))
+                return real(self, method, path, body)
+
+            threading.Timer(
+                0.3, lambda: server.call_in_loop(stub.gate.set)
+            ).start()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ServeClient, "_request", counting)
+                began = time.monotonic()
+                final = client.wait(job_id, timeout=10)
+            assert final["state"] == "done"
+            assert time.monotonic() - began >= 0.25
+            # One job fetch after the stream ended; no polling.
+            assert requests == [("GET", f"/jobs/{job_id}")]
+
+    def test_wait_times_out_with_a_504(self):
+        server, stub = stub_server()
+        stub.gate = asyncio.Event()
+        with server:
+            client = server.client
+            job_id = client.submit("table2")["job"]["id"]
+            began = time.monotonic()
+            with pytest.raises(ServeError) as info:
+                client.wait(job_id, timeout=0.3)
+            assert 0.25 <= time.monotonic() - began < 2
+            assert info.value.status == 504
+            assert str(info.value) == f"job {job_id} still running after 0s"
+            server.call_in_loop(stub.gate.set)
+            assert client.wait(job_id, timeout=10)["state"] == "done"
+
+    def test_wait_on_an_unknown_job_is_a_404(self):
+        server, _ = stub_server()
+        with server:
+            with pytest.raises(ServeError) as info:
+                server.client.wait("j42", timeout=5)
+            assert info.value.status == 404
+            assert "unknown job" in str(info.value)
