@@ -248,12 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "in --dir; 'none' skips the comparison)",
     )
     bench.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="skip simulator self-profiling timelines (fidelity metrics "
-        "are still recorded)",
-    )
-    bench.add_argument(
         "--fidelity-tolerance",
         type=float,
         default=None,
@@ -270,36 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
         f"(default {DEFAULT_TOLERANCES['machine']:g})",
     )
     bench.add_argument(
-        "--profile-tolerance",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="relative tolerance before throughput drift warns "
-        f"(default {DEFAULT_TOLERANCES['self_profile']:g})",
-    )
-    bench.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings (throughput drift) too",
-    )
-    bench.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
         help="bench experiments in N worker processes; the snapshot is "
-        "byte-identical for any N (modulo self_profile wall-clock)",
-    )
-    bench.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="additionally time each unit-decomposable experiment under "
-        "partitioned execution with N partitions and record the "
-        "partitioned events/s in self_profile (fidelity and machine "
-        "sections still come from the normal run, so they cannot "
-        "drift)",
+        "byte-identical for any N",
     )
     lint = sub.add_parser(
         "lint",
@@ -762,8 +732,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tolerances["fidelity"] = args.fidelity_tolerance
     if args.machine_tolerance is not None:
         tolerances["machine"] = args.machine_tolerance
-    if args.profile_tolerance is not None:
-        tolerances["self_profile"] = args.profile_tolerance
 
     try:
         baseline = None
@@ -786,31 +754,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"benching {key} ...", file=sys.stderr)
 
         snapshot = bench_mod.build_snapshot(
-            keys,
-            index,
-            trace=not args.no_trace,
-            progress=progress,
-            jobs=max(1, args.jobs),
-            partitions=args.partitions,
+            keys, index, progress=progress, jobs=max(1, args.jobs)
         )
         bench_mod.save_snapshot(snapshot, out_path)
     except (BenchError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 2
     print(f"wrote snapshot {index} ({len(keys)} experiment(s)) to {out_path}")
-    for key in keys:  # the simulator-throughput headline, per experiment
-        profile = snapshot["experiments"][key].get("self_profile", {})
-        rate = profile.get("events_per_sec")
-        if rate:
-            print(
-                f"  {key}: {rate:,.0f} events/s "
-                f"({profile['wall_seconds']:.1f}s wall)"
-            )
     if baseline is None:
         return 0
     report = bench_mod.compare_snapshots(baseline, snapshot, tolerances)
     print(report.render())
-    return report.exit_code(strict=args.strict)
+    return 0 if report.ok else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

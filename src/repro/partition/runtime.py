@@ -83,11 +83,10 @@ def _run_units(
     identically however units are sharded.
 
     Otherwise the unit runs on the caller's ambient trace bus: serve's
-    progress tracer, bench's monitor tracer, ``trace``'s tracer, or none
-    at all -- the uninstrumented fast path, no counters or timeline events
-    on any hot path.  Event counts then read as zero; callers wanting a
-    rate divide the (deterministic) event count from an instrumented run
-    of the same units by this wall time.
+    progress tracer, bench's counters-only tracer, ``trace``'s tracer, or
+    none at all -- the uninstrumented fast path, no counters or timeline
+    events on any hot path.  Event counts in the telemetry then read as
+    zero.
     """
     experiment = get_experiment(key)
     results: Dict[str, object] = {}
@@ -279,8 +278,7 @@ def run_partitioned(
 
     ``instrumented=False`` installs no per-unit tracer, so the run
     attaches to the caller's ambient bus (see :func:`_run_units`); event
-    counts in the telemetry read as zero and the caller supplies a
-    deterministic count from an instrumented run.  Tracing implies
+    counts in the telemetry read as zero.  Tracing implies
     instrumentation, so ``traced=True`` overrides it.
     """
     instrumented = instrumented or traced

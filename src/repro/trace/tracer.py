@@ -473,9 +473,10 @@ class Tracer:
 
         The per-record cost of this tracer's store class is calibrated
         once per process on a throwaway store (outside any timed region)
-        and multiplied by the number of records appended -- an estimate,
-        but one that moves with the store implementation, which is what
-        the bench self-profile non-regression gate needs.
+        and multiplied by the number of records appended -- an estimate
+        that moves with the store implementation.  perfbench reports it
+        as ``trace.estimate_ratio`` next to its measured
+        ``trace.overhead_ratio``; nothing in this package calls it.
         """
         records = self._store.total_appended
         cost = (

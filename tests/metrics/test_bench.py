@@ -1,6 +1,7 @@
 """Tests for bench snapshots and regression detection (repro.metrics.bench)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +9,27 @@ from repro.cli import main
 from repro.errors import BenchError
 from repro.metrics import bench
 
+BENCH_3 = Path(__file__).resolve().parents[2] / "BENCH_3.json"
 
-def make_snapshot(index, fidelity=None, machine=None, profile=None, key="table6"):
+#: The record-derived gauges a recording tracer fed into ``machine`` up to
+#: BENCH_3; the counters-only bench tracer keeps no records.
+RECORD_GAUGES = (
+    "sim_trace_buffer_bytes",
+    "sim_trace_dropped",
+    "sim_trace_interned_strings",
+    "sim_trace_kind_records{kind=instants}",
+    "sim_trace_kind_records{kind=samples}",
+    "sim_trace_kind_records{kind=spans}",
+    "sim_trace_records",
+)
+
+
+def make_snapshot(index, fidelity=None, machine=None, key="table6"):
     """Hand-build a minimal schema-valid snapshot for comparison tests."""
     return {
         "schema": bench.SCHEMA,
         "schema_version": bench.SCHEMA_VERSION,
         "snapshot": index,
-        "traced": True,
         "experiments": {
             key: {
                 "description": "test experiment",
@@ -24,31 +38,34 @@ def make_snapshot(index, fidelity=None, machine=None, profile=None, key="table6"
                     for name, value in (fidelity or {}).items()
                 ],
                 "machine": dict(machine or {}),
-                "self_profile": dict(profile or {}),
             }
         },
     }
 
 
+def make_v1_snapshot(index, profile, **sections):
+    """A schema-1 snapshot: version 2's sections plus a ``self_profile``."""
+    snapshot = make_snapshot(index, **sections)
+    snapshot["schema_version"] = 1
+    snapshot["traced"] = True
+    for section in snapshot["experiments"].values():
+        section["self_profile"] = dict(profile)
+    return snapshot
+
+
 class TestCompare:
     def test_identical_snapshots_clean(self):
-        snapshot = make_snapshot(
-            0,
-            fidelity={"speedup": 1.8},
-            machine={"sim_wall_cycles": 12345},
-            profile={"wall_seconds": 2.0, "events_per_sec": 1e6},
-        )
-        report = bench.compare_snapshots(snapshot, make_snapshot(1, **{
+        sections = {
             "fidelity": {"speedup": 1.8},
             "machine": {"sim_wall_cycles": 12345},
-            "profile": {"wall_seconds": 2.0, "events_per_sec": 1e6},
-        }))
-        assert report.compared == 4
+        }
+        report = bench.compare_snapshots(
+            make_snapshot(0, **sections), make_snapshot(1, **sections)
+        )
+        assert report.compared == 2
         assert report.findings == []
         assert report.ok
-        assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 0
-        assert "no drift beyond tolerance" in report.render()
+        assert "0 failure(s)\n  no drift beyond tolerance" in report.render()
 
     def test_exact_boundary_passes_just_above_fails(self):
         # tolerance is inclusive: |rel change| == tol is OK
@@ -72,7 +89,6 @@ class TestCompare:
         assert finding.experiment == "table6"
         assert finding.rel_change == pytest.approx(-1 / 18)
         assert not report.ok
-        assert report.exit_code() == 1
         assert "FAIL" in report.render()
 
     def test_machine_drift_fails(self):
@@ -80,37 +96,19 @@ class TestCompare:
         drifted = make_snapshot(1, machine={"sim_busy_cycles{component=sp}": 1001})
         report = bench.compare_snapshots(base, drifted)
         assert [f.metric_class for f in report.failures] == ["machine"]
-        assert report.exit_code() == 1
-
-    def test_slowdown_warns_and_strict_exits_3(self):
-        base = make_snapshot(0, profile={"wall_seconds": 1.0})
-        slower = make_snapshot(1, profile={"wall_seconds": 2.0})  # 100% > 50%
-        report = bench.compare_snapshots(base, slower)
-        assert report.failures == []
-        assert [f.severity for f in report.findings] == ["warn"]
-        assert report.ok  # warnings alone do not fail ...
-        assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 3  # ... unless strict
-
-    def test_speedup_is_informational(self):
-        # direction-aware: less wall time / more events per second is fine
-        base = make_snapshot(
-            0, profile={"wall_seconds": 2.0, "events_per_sec": 1e6}
-        )
-        faster = make_snapshot(
-            1, profile={"wall_seconds": 0.5, "events_per_sec": 4e6}
-        )
-        report = bench.compare_snapshots(base, faster)
-        assert report.warnings == []
-        assert {f.severity for f in report.findings} == {"info"}
-        assert report.exit_code(strict=True) == 0
+        assert not report.ok
 
     def test_uncompared_profile_series_are_ignored(self):
-        # component_busy_share etc. are not in the direction map: no findings
-        base = make_snapshot(0, profile={"events_processed": 100})
-        current = make_snapshot(1, profile={"events_processed": 900})
+        # A schema-1 baseline's self_profile (host wall-clock) is never
+        # compared: neither a slowdown nor a series missing on the
+        # current side is a finding.
+        base = make_v1_snapshot(
+            0, {"wall_seconds": 1.0, "events_per_sec": 1e6},
+            fidelity={"speedup": 1.8},
+        )
+        current = make_snapshot(1, fidelity={"speedup": 1.8})
         report = bench.compare_snapshots(base, current)
-        assert report.compared == 0
+        assert report.compared == 1
         assert report.findings == []
 
     def test_one_sided_metric_is_informational(self):
@@ -190,16 +188,14 @@ class TestBenchExperiment:
         assert section["fidelity"], "experiment must declare headline metrics"
         for metric in section["fidelity"]:
             assert set(metric) >= {"name", "value", "unit", "target"}
-        assert section["machine"], "traced run must drain machine series"
-        profile = section["self_profile"]
-        assert profile["wall_seconds"] > 0
+        assert section["machine"], "run must drain machine series"
+        assert list(section) == ["description", "fidelity", "machine"]
 
-    def test_untraced_run_still_has_fidelity(self):
-        # the registry must not require a recording tracer
-        section = bench.bench_experiment("table6", trace=False)
-        assert section["fidelity"]
-        assert section["machine"] == {}
-        assert list(section["self_profile"]) == ["wall_seconds"]
+    def test_counters_only_run_records_no_timeline(self):
+        # machine reads the bus's exact aggregates, never its records
+        machine = bench.bench_experiment("table6")["machine"]
+        assert machine
+        assert not [name for name in machine if name.startswith("sim_trace_")]
 
     def test_deterministic_fidelity_and_machine(self):
         first = bench.bench_experiment("table6")
@@ -209,32 +205,25 @@ class TestBenchExperiment:
 
     def test_build_snapshot_document(self):
         seen = []
-        snapshot = bench.build_snapshot(
-            ["table6"], 7, trace=False, progress=seen.append
-        )
+        snapshot = bench.build_snapshot(["table6"], 7, progress=seen.append)
         assert seen == ["table6"]
         assert snapshot["schema"] == bench.SCHEMA
         assert snapshot["schema_version"] == bench.SCHEMA_VERSION
         assert snapshot["snapshot"] == 7
-        assert snapshot["traced"] is False
+        assert "traced" not in snapshot
         assert list(snapshot["experiments"]) == ["table6"]
 
     def test_parallel_build_snapshot_merges_in_key_order(self):
         seen = []
         keys = ["table6", "table5", "figure3"]  # deliberately unsorted
-        snapshot = bench.build_snapshot(
-            keys, 3, trace=False, progress=seen.append, jobs=3
-        )
+        snapshot = bench.build_snapshot(keys, 3, progress=seen.append, jobs=3)
         assert sorted(seen) == sorted(keys)  # progress is completion-order
         assert list(snapshot["experiments"]) == keys  # sections are key-order
-        sequential = bench.build_snapshot(keys, 3, trace=False, jobs=1)
-        for doc in (snapshot, sequential):
-            for section in doc["experiments"].values():
-                section.pop("self_profile", None)
+        sequential = bench.build_snapshot(keys, 3, jobs=1)
         assert snapshot == sequential
 
     def test_single_key_ignores_jobs(self):
-        snapshot = bench.build_snapshot(["table6"], 0, trace=False, jobs=8)
+        snapshot = bench.build_snapshot(["table6"], 0, jobs=8)
         assert list(snapshot["experiments"]) == ["table6"]
 
 
@@ -252,16 +241,26 @@ class TestBenchCli:
         captured = capsys.readouterr()
         assert "BENCH_0.json" in captured.err  # picked up as baseline
         assert (tmp_path / "BENCH_1.json").exists()
-        assert "0 failure(s)," in captured.out
-        # A ~10 ms run's wall clock can drift past the self_profile
-        # tolerance (warn-only host noise); fidelity and machine series
-        # are deterministic and must not move at all.
-        findings = [
-            line
-            for line in captured.out.splitlines()
-            if line.startswith(("  FAIL  ", "  WARN  ", "  info  "))
+        assert "0 failure(s)\n  no drift beyond tolerance" in captured.out
+        assert (tmp_path / "BENCH_0.json").read_bytes().replace(
+            b'"snapshot": 0', b'"snapshot": 1'
+        ) == (tmp_path / "BENCH_1.json").read_bytes()
+
+    def test_committed_schema_1_baseline_still_compares(self, tmp_path, capsys):
+        # BENCH_3.json predates schema 2: its fidelity and machine
+        # sections must match exactly, and only the record gauges it
+        # carried disappear.
+        assert bench.load_snapshot(str(BENCH_3))["schema_version"] == 1
+        out = tmp_path / "current.json"
+        assert self.run_bench(
+            tmp_path, "--baseline", str(BENCH_3), "--out", str(out)
+        ) == 0
+        report = capsys.readouterr().out
+        assert " 0 failure(s)\n" in report
+        findings = [line for line in report.splitlines() if line.startswith("  ")]
+        assert [line.split(": metric disappeared")[0] for line in findings] == [
+            f"  info  table6/{name}" for name in RECORD_GAUGES
         ]
-        assert all("[self_profile]" in line for line in findings), findings
 
     def test_tampered_baseline_fails_with_exit_1(self, tmp_path, capsys):
         assert self.run_bench(tmp_path) == 0

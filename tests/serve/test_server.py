@@ -576,12 +576,15 @@ class TestCoalescingAcceptance:
         stub.gate = asyncio.Event()
         with server:
             client = server.client
+
+            def submit(_):
+                try:
+                    return client.submit("table2")
+                finally:
+                    client.close()  # this pool thread's connection
+
             with concurrent.futures.ThreadPoolExecutor(concurrency) as pool:
-                documents = list(
-                    pool.map(
-                        lambda _: client.submit("table2"), range(concurrency)
-                    )
-                )
+                documents = list(pool.map(submit, range(concurrency)))
             # All submissions are in (executor still gated): release the run.
             server.call_in_loop(stub.gate.set)
 

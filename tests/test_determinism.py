@@ -116,18 +116,12 @@ def test_production_snapshot_matches_its_own_rerun():
     assert first == second
 
 
-def _strip_self_profile(snapshot):
-    for section in snapshot["experiments"].values():
-        section.pop("self_profile", None)
-    return snapshot
-
-
 def test_parallel_snapshot_identical_to_sequential():
     keys = ["figure3", "table5", "table6"]
-    sequential = build_snapshot(keys, 0, trace=True, jobs=1)
-    parallel = build_snapshot(keys, 0, trace=True, jobs=4)
+    sequential = build_snapshot(keys, 0, jobs=1)
+    parallel = build_snapshot(keys, 0, jobs=4)
     assert list(parallel["experiments"]) == keys  # key order, not completion
-    assert _strip_self_profile(sequential) == _strip_self_profile(parallel)
+    assert sequential == parallel
 
 
 def _fuzz_network_run(seed, engine_class=Engine):
