@@ -9,9 +9,6 @@ credits for the Perfect improvements.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.compiler.dependence import loop_carried_dependences
 from repro.compiler.ir import Loop
 from repro.compiler.passes.parallelize import parallelize
 
@@ -29,13 +26,3 @@ def insert_runtime_tests(loop: Loop, symbols=None) -> Loop:
     if with_tests.parallel and with_tests.needs_runtime_test:
         return with_tests
     return loop
-
-
-def runtime_test_overhead_cycles(loop: Loop) -> int:
-    """Cost of the inspector: one pass over the checked subscripts.
-
-    Charged once per loop instance by the lowering; proportional to the
-    trip count when known, else a nominal inspector length.
-    """
-    trip = loop.trip_count() or 128
-    return 4 * trip  # compare/mark per iteration in the inspector loop

@@ -10,7 +10,7 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def speedup(serial_seconds: float, parallel_seconds: float) -> float:
@@ -150,15 +150,3 @@ class Ensemble:
     def harmonic_mean_mflops(self) -> float:
         """Harmonic mean of the per-code MFLOPS."""
         return harmonic_mean([r.mflops for r in self.results])
-
-
-def ensemble_from_results(results: Iterable[CodeResult]) -> Ensemble:
-    """Build an ensemble from results that share a machine and CPU count."""
-    materialized = list(results)
-    if not materialized:
-        raise ValueError("cannot build an ensemble from zero results")
-    first = materialized[0]
-    ensemble = Ensemble(machine=first.machine, processors=first.processors)
-    for result in materialized:
-        ensemble.add(result)
-    return ensemble

@@ -6,7 +6,7 @@ paper reports" without depending on any plotting library.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.bands import Band, band_thresholds, classify_efficiency
 
@@ -110,19 +110,3 @@ def fraction_description(bands: Mapping[str, Band]) -> str:
         count = len(grouped[band])
         parts.append(f"{count}/{total} {band.value}")
     return ", ".join(parts)
-
-
-def format_ratio_rows(
-    rows: Sequence[Tuple[str, float, float]],
-    left: str,
-    right: str,
-) -> str:
-    """Table of per-code values on two machines plus their ratio."""
-    table_rows = [
-        (code, left_value, right_value, left_value / right_value)
-        for code, left_value, right_value in rows
-    ]
-    return format_table(
-        headers=("Code", left, right, f"{left}/{right}"),
-        rows=table_rows,
-    )

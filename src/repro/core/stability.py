@@ -14,7 +14,6 @@ instability of about 5 on twenty years of workstations and draws the line at
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
@@ -50,11 +49,6 @@ class StabilityResult:
         if self.stability == 0:
             raise ValueError("instability undefined for zero stability")
         return 1.0 / self.stability
-
-    @property
-    def num_excluded(self) -> int:
-        """The e of St(P, N, K, e)."""
-        return len(self.excluded)
 
 
 def _validate_rates(rates: Mapping[str, float]) -> None:
@@ -151,32 +145,3 @@ def instability_profile(
             continue
         profile[exclusions] = instability(rates, exclusions)
     return profile
-
-
-def exhaustive_stability(
-    rates: Mapping[str, float], exclusions: int
-) -> StabilityResult:
-    """Brute-force St over *all* exclusion subsets (for test cross-checks).
-
-    The production :func:`stability` only searches end-of-order exclusion
-    sets; this helper proves that restriction is lossless on small inputs.
-    """
-    _validate_rates(rates)
-    if exclusions >= len(rates):
-        raise ValueError("at least one code must remain")
-    codes = list(rates)
-    best: StabilityResult | None = None
-    for excluded in itertools.combinations(codes, exclusions):
-        retained = {c: rates[c] for c in codes if c not in excluded}
-        low_code = min(retained, key=retained.__getitem__)
-        high_code = max(retained, key=retained.__getitem__)
-        candidate = StabilityResult(
-            stability=retained[low_code] / retained[high_code],
-            excluded=frozenset(excluded),
-            retained_min=(low_code, retained[low_code]),
-            retained_max=(high_code, retained[high_code]),
-        )
-        if best is None or candidate.stability > best.stability:
-            best = candidate
-    assert best is not None
-    return best

@@ -30,14 +30,6 @@ class Table1Result:
 
     mflops: Dict[RankUpdateVersion, Tuple[float, ...]]
 
-    def improvement_over_no_prefetch(
-        self, version: RankUpdateVersion
-    ) -> Tuple[float, ...]:
-        base = self.mflops[RankUpdateVersion.GM_NO_PREFETCH]
-        return tuple(
-            v / b for v, b in zip(self.mflops[version], base)
-        )
-
 
 def units() -> List[str]:
     """Independent machine-run units: one per (version, clusters) cell."""

@@ -7,7 +7,7 @@ from typing import Callable, List, Optional
 from repro.config import CedarConfig
 from repro.hardware.cache import ClusterCache
 from repro.hardware.ccb import BodyFactory, ConcurrencyControlBus
-from repro.hardware.ce import ComputationalElement, KernelFactory
+from repro.hardware.ce import ComputationalElement
 from repro.hardware.engine import Engine
 from repro.hardware.memory import module_for_address
 from repro.hardware.network import OmegaNetwork
@@ -69,18 +69,6 @@ class Cluster:
     ) -> None:
         """Run a CDOALL over this cluster via the concurrency control bus."""
         self.ccb.concurrent_start(num_iterations, body, on_done=on_done, static=static)
-
-    def run_on_all(self, kernel: KernelFactory, on_done=None) -> None:
-        """Run the same kernel coroutine on every CE of the cluster."""
-        remaining = {"count": len(self.ces)}
-
-        def one_done() -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0 and on_done is not None:
-                on_done()
-
-        for ce in self.ces:
-            ce.run(kernel, on_done=one_done)
 
     @property
     def total_flops(self) -> float:

@@ -3,9 +3,9 @@
 "Data can be moved between cluster and global shared memory only via
 explicit moves under software control" (Section 2).  Coherence between
 copies of globally shared data residing in cluster memories is maintained in
-software; the helpers here are the simulator-side equivalent of the run-time
-library's block-move routines, written as micro-operation generators that a
-kernel coroutine can ``yield from``.
+software; the helper here is the simulator-side equivalent of the run-time
+library's global-to-cluster block move, written as a micro-operation
+generator that a kernel coroutine can ``yield from``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.hardware.ce import (
     ArmFirePrefetch,
     AwaitPrefetch,
     ComputationalElement,
-    GlobalStores,
 )
 
 
@@ -49,23 +48,3 @@ def move_global_to_cluster(
         ce.cache.install_block(start_address + moved * stride, chunk * abs(stride),
                                dirty=install_dirty)
         moved += chunk
-
-
-def move_cluster_to_global(
-    ce: ComputationalElement,
-    start_address: int,
-    length: int,
-    stride: int = 1,
-) -> Iterator[object]:
-    """Copy a block from the cluster work array back to global memory.
-
-    Reads hit the cluster cache (reserving its bandwidth) and the writes
-    stream into the forward network; global writes are not acknowledged
-    (weak ordering), so the move completes when the last store is issued.
-    """
-    if length < 0:
-        raise ValueError(f"move length must be >= 0, got {length}")
-    if length == 0:
-        return
-    ce.cache.stream(length, resident=True)
-    yield GlobalStores(start_address=start_address, length=length, stride=stride)

@@ -12,9 +12,4 @@ These are the "well-understood algorithms and kernels which are much smaller
   solver on a 5-diagonal matrix (the PPT4 scalability workload).
 * :mod:`repro.kernels.banded_matvec` -- banded matrix-vector product used in
   the CM-5 comparison.
-
-Cited companion suites are here too: the [GJTV91] memory-system
-characterization benchmarks (:mod:`repro.kernels.memory_characterization`)
-and the [ZhYe87] DOACROSS dependence-enforcement demonstration
-(:mod:`repro.kernels.doacross`).
 """

@@ -42,10 +42,6 @@ class KernelRun:
     def mflops(self) -> float:
         return self.flops / self.seconds / 1e6
 
-    @property
-    def mflops_per_ce(self) -> float:
-        return self.mflops / self.num_ces
-
 
 @dataclass(frozen=True)
 class MeasuredKernel:

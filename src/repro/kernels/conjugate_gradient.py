@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import CE_CYCLE_SECONDS, CedarConfig, active_config
+from repro.config import CedarConfig, active_config
 from repro.hardware.ce import (
     ArmFirePrefetch,
     Compute,
@@ -152,10 +152,3 @@ def cg_time_cycles(
     per_strip = (full.cycles - half.cycles) / (SIM_STRIP_CAP - SIM_STRIP_CAP // 2)
     fixed = full.cycles - SIM_STRIP_CAP * per_strip
     return fixed + strips_needed * per_strip + startup
-
-
-def cg_mflops(num_ces: int, points: int, config: Optional[CedarConfig] = None) -> float:
-    """Delivered MFLOPS of one CG iteration (PPT4's rate measure)."""
-    cycles = cg_time_cycles(num_ces, points, config)
-    flops = FLOPS_PER_POINT * points
-    return flops / (cycles * CE_CYCLE_SECONDS) / 1e6

@@ -24,7 +24,3 @@ class Placement(enum.Enum):
     #: paper found loop-local placement "an important factor in reducing
     #: data access latencies" in all Perfect programs.
     LOOP_LOCAL = "loop-local"
-
-    @property
-    def is_global(self) -> bool:
-        return self is Placement.GLOBAL

@@ -125,25 +125,6 @@ def collect_monitor(
         ).set(counts["dropped"])
 
 
-def collect_sanitizer(registry: MetricsRegistry, sanitizer) -> None:
-    """Fold one :class:`repro.hardware.sanitize.Sanitizer` into ``registry``.
-
-    Per-invariant check counts become ``sanitizer_checks_total`` counters;
-    the violation count (0 on any run that reached collection, since a
-    violation raises) becomes a gauge.
-    """
-    for invariant, count in sorted(sanitizer.checks.items()):
-        registry.counter(
-            "sanitizer_checks_total",
-            {"invariant": invariant},
-            help="invariant checks performed per sanitizer class",
-        ).inc(count)
-    registry.gauge(
-        "sanitizer_violations",
-        help="invariant violations raised (0 for a completed run)",
-    ).set(sanitizer.violations)
-
-
 class MonitorCatcher:
     """Collects every :class:`PerformanceMonitor` that connects to a bus.
 

@@ -14,7 +14,6 @@ from typing import Dict, Sequence
 
 from repro.config import CedarConfig, DEFAULT_CONFIG
 from repro.kernels.vector_load import measure_vector_load
-from repro.model.costs import CostModel
 
 
 def calibrate_prefetch_curve(
@@ -37,11 +36,3 @@ def calibrate_prefetch_curve(
         cycles_per_block = run.first_word_latency + (block - 1) * run.interarrival
         curve[count] = block / cycles_per_block
     return curve
-
-
-def calibrated_cost_model(
-    config: CedarConfig = DEFAULT_CONFIG,
-    ce_counts: Sequence[int] = (1, 8, 16, 24, 32),
-) -> CostModel:
-    """A cost model whose prefetch curve is freshly measured."""
-    return CostModel(config, calibrate_prefetch_curve(ce_counts, config))

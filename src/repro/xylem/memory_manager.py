@@ -27,10 +27,6 @@ class Segment:
     num_words: int
     placement: Placement
 
-    @property
-    def end_word(self) -> int:
-        return self.start_word + self.num_words
-
 
 class MemoryManager:
     """Segment allocation plus fault-cost accounting."""

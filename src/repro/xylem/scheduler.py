@@ -44,12 +44,6 @@ class Task:
         if self.seconds <= 0:
             raise ValueError("task time must be positive")
 
-    @property
-    def turnaround(self) -> float:
-        if self.finished_at is None:
-            raise SimulationError(f"task {self.name} has not finished")
-        return self.finished_at
-
 
 class ClusterScheduler:
     """First-come first-served cluster allocator with gang dispatch.

@@ -7,7 +7,6 @@ from repro.core.metrics import (
     CodeResult,
     Ensemble,
     efficiency,
-    ensemble_from_results,
     harmonic_mean,
     mflops,
     speedup,
@@ -127,14 +126,12 @@ class TestEnsemble:
             ensemble.add(_result(processors=8))
 
     def test_harmonic_mean_mflops(self):
-        ensemble = ensemble_from_results([_result("A"), _result("B")])
+        ensemble = Ensemble(machine="cedar", processors=32)
+        ensemble.add(_result("A"))
+        ensemble.add(_result("B"))
         assert ensemble.harmonic_mean_mflops() == pytest.approx(
             _result().mflops
         )
-
-    def test_from_results_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ensemble_from_results([])
 
 
 class TestEdgeCases:

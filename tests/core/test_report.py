@@ -8,7 +8,6 @@ from repro.core.report import (
     efficiency_scatter,
     format_table,
     fraction_description,
-    format_ratio_rows,
 )
 
 
@@ -71,8 +70,3 @@ class TestDescriptions:
     def test_fraction_description_rejects_empty(self):
         with pytest.raises(ValueError):
             fraction_description({})
-
-    def test_ratio_rows(self):
-        text = format_ratio_rows([("QCD", 2.4, 1.8)], "YMP", "Cedar")
-        assert "QCD" in text
-        assert "1.3" in text  # 2.4 / 1.8

@@ -1,12 +1,8 @@
-"""Tests for the explicit global<->cluster block moves."""
+"""Tests for the explicit global-to-cluster block move."""
 
 import pytest
 
-from repro.hardware.cluster_memory import (
-    move_cluster_to_global,
-    move_global_to_cluster,
-)
-from repro.hardware.machine import CedarMachine
+from repro.hardware.cluster_memory import move_global_to_cluster
 
 
 class TestGlobalToCluster:
@@ -36,19 +32,3 @@ class TestGlobalToCluster:
         with pytest.raises(ValueError):
             list(move_global_to_cluster(ce, 0, -1))
 
-
-class TestClusterToGlobal:
-    def test_stores_reach_memory(self, machine):
-        def kernel(ce):
-            yield from move_cluster_to_global(ce, 2000, 16)
-
-        machine.run_kernel(kernel, num_ces=1)
-        machine.engine.run_until_idle()
-        assert machine.global_memory.total_requests_served == 16
-
-    def test_zero_length_is_a_noop(self, machine):
-        def kernel(ce):
-            yield from move_cluster_to_global(ce, 0, 0)
-
-        machine.run_kernel(kernel, num_ces=1)
-        assert machine.global_memory.total_requests_served == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.calibration import calibrate_prefetch_curve, calibrated_cost_model
+from repro.model.calibration import calibrate_prefetch_curve
 from repro.model.costs import DEFAULT_PREFETCH_RATE_CURVE
 
 
@@ -27,6 +27,3 @@ class TestCalibration:
                 DEFAULT_PREFETCH_RATE_CURVE[count], abs=0.15
             )
 
-    def test_calibrated_cost_model_usable(self, curve):
-        model = calibrated_cost_model(ce_counts=(1, 8))
-        assert model.prefetch_words_per_cycle(4) > 0

@@ -4,7 +4,9 @@ Every budget runs the path in a fresh interpreter and reads
 ``sys.modules`` afterwards, so the checks are about which modules load,
 never about how long loading takes.  The lazy package tables and the
 examples are checked here too, because a lazy re-export that names a
-moved or renamed function fails only when somebody touches it.
+moved or renamed function fails only when somebody touches it.  So is
+reachability: every module under ``src/repro`` must be reachable from
+``repro.cli``, the ``cedar-repro`` entry point, or be deleted.
 """
 
 import ast
@@ -45,6 +47,14 @@ SETUP_FORBIDDEN = (
 
 #: What `cedar-repro --help` and a single `run` must not pay for.
 CLI_FORBIDDEN = ("repro.serve", "repro.lint", "repro.metrics.bench")
+
+#: Modules no command reaches yet, each with the reason it stays.
+UNREACHABLE_ALLOWED = {
+    "repro.model.calibration": (
+        "regenerates the analytic model's prefetch curve from the simulator; "
+        "ROADMAP item 10 makes the analytic tables read it"
+    ),
+}
 
 
 def _fresh_modules(code: str) -> list:
@@ -176,3 +186,71 @@ class TestLazyTables:
                     for alias in node.names:
                         if alias.name.startswith("repro"):
                             importlib.import_module(alias.name)
+
+
+def _source_modules() -> dict:
+    """Dotted name -> parsed source of every module under ``src/repro``."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = ast.parse(path.read_text(), filename=str(path))
+    return modules
+
+
+def _targets(tree, modules) -> set:
+    """Modules one source file can load.
+
+    Besides every ``import`` (function bodies included), a lazy
+    ``lazy_exports(...)`` table loads its module keys on first access,
+    and the registry's ``_driver(key, module, ...)`` loads
+    ``repro.experiments.<module>`` on first call.
+    """
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            targets.add(node.module)
+            targets.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = node.args
+            if node.func.id == "lazy_exports" and isinstance(args[1], ast.Dict):
+                targets.update(key.value for key in args[1].keys)
+            elif node.func.id == "_driver":
+                targets.add(f"repro.experiments.{args[1].value}")
+    return {
+        ".".join(parts[:end])
+        for parts in (target.split(".") for target in targets)
+        for end in range(1, len(parts) + 1)
+    } & set(modules)
+
+
+def _reachable(modules: dict) -> set:
+    seen, pending = set(), ["repro.cli"]
+    while pending:
+        name = pending.pop()
+        if name not in seen:
+            seen.add(name)
+            pending.extend(_targets(modules[name], modules))
+    return seen
+
+
+class TestReachability:
+    @pytest.fixture(scope="class")
+    def modules(self):
+        return _source_modules()
+
+    def test_every_module_is_reachable_from_the_cli(self, modules):
+        unreachable = set(modules) - _reachable(modules) - set(UNREACHABLE_ALLOWED)
+        assert not unreachable, (
+            f"no cedar-repro command reaches {', '.join(sorted(unreachable))}: "
+            "wire them in, move them to tests/, or delete them"
+        )
+
+    @pytest.mark.parametrize("module", sorted(UNREACHABLE_ALLOWED))
+    def test_allowed_entry_is_not_stale(self, modules, module):
+        assert UNREACHABLE_ALLOWED[module], "an entry needs its reason"
+        assert module in modules, f"{module} no longer exists"
+        assert module not in _reachable(modules), f"{module} is reachable now"
