@@ -28,9 +28,15 @@ update as ``SwitchInputQueue.pop``), and an output wired to the next
 stage's input queue ends its transfer with :meth:`_finish_hop`, which
 pushes inline; an output wired to a network exit queue uses
 :meth:`_finish`, which pushes inline and calls the queue's listeners.
-The space waiter that re-scans an output and the completion that ends
-its transfer are bound once per output at construction, so a port
-conflict queues a reference instead of allocating a callable.
+
+Owed wake-ups: every output's sink has that output as its only writer,
+so :meth:`connect_output` hands the sink a waker that re-scans the
+output, once (:meth:`BoundedWordQueue.attach_writer`).  A port conflict
+adds one to the sink's ``_owed_wakeups``, and every pop of the sink pays
+one back by calling the waker.  Each re-scan that meets the full sink
+counts a conflict and is owed a wake-up, as in the reference crossbar,
+which queues a space waiter per conflict; the event streams match, but
+a congested port holds one integer.
 
 Arbitration: the round-robin winner of output ``o`` with pointer ``start``
 is the lowest set bit of ``inputs >> start << start or inputs`` -- the
@@ -68,7 +74,8 @@ class SwitchInputQueue(BoundedWordQueue):
 
     Its switch is its only observer.  A push into an empty queue and every
     pop re-derive the masks before anyone reacts; then a push wakes the
-    whole switch and a pop wakes one blocked upstream writer.  The hot
+    whole switch and a pop pays one owed wake-up to its upstream output
+    (past stage 0) or fires one endpoint waiter (at stage 0).  The hot
     path runs inline copies of both: a grant pops (``_grant``) and a
     finished hop pushes (``_finish_hop``) without calling these.
     """
@@ -133,7 +140,10 @@ class SwitchInputQueue(BoundedWordQueue):
             if new_route is not None:
                 inputs_for[new_route] |= self._bit
                 switch._headed |= 1 << new_route
-        if self._space_waiters:
+        if self._owed_wakeups:
+            self._owed_wakeups -= 1
+            self._writer()
+        elif self._space_waiters:
             self._space_waiters.popleft()()
         return packet
 
@@ -187,8 +197,6 @@ class CrossbarSwitch:
         #: Bound once: every grant passes both to the engine.
         self._schedule_pair = engine.schedule_pair
         self._wake_all = self.wake_all
-        wake = CrossbarSwitch.wake
-        self._wakers = [partial(wake, self, o) for o in range(radix)]
         #: Per-output end of transfer, picked by :meth:`connect_output`
         #: (an unwired output is never idle, so it is never granted).
         self._finishers: List[Optional[Callable[[], None]]] = [None] * radix
@@ -216,7 +224,7 @@ class CrossbarSwitch:
             if head.words > sink.capacity_words - sink._used_words:
                 # Port conflict: downstream is full, wait for space.  Every
                 # re-scan that hits the full sink counts another conflict
-                # and queues the output's one prebound waiter again.
+                # and is owed another wake-up by the sink's next pops.
                 if self._sanitizer is not None:
                     self._sanitizer.check_port_conflict(self, output, head)
                 counters = self._trace_counters
@@ -227,7 +235,7 @@ class CrossbarSwitch:
                             "port_conflicts"
                         )
                     counters.values[slot] += 1
-                sink._space_waiters.append(self._wakers[output])
+                sink._owed_wakeups += 1
                 ready ^= low
             else:
                 self._grant(output, start, index, head)
@@ -252,7 +260,7 @@ class CrossbarSwitch:
         head = self.input_queues[index]._packets[0]
         sink = self.sink[output]
         if head.words > sink.capacity_words - sink._used_words:
-            # Port conflict, counted and queued as in wake_all.
+            # Port conflict, counted and owed as in wake_all.
             if self._sanitizer is not None:
                 self._sanitizer.check_port_conflict(self, output, head)
             counters = self._trace_counters
@@ -261,7 +269,7 @@ class CrossbarSwitch:
                 if slot < 0:
                     slot = self._slot_conflicts = counters.slot("port_conflicts")
                 counters.values[slot] += 1
-            sink._space_waiters.append(self._wakers[output])
+            sink._owed_wakeups += 1
         else:
             self._grant(output, start, index, head)
 
@@ -294,7 +302,10 @@ class CrossbarSwitch:
             if new_route is not None:
                 inputs_for[new_route] |= 1 << chosen
                 self._headed |= 1 << new_route
-        if queue._space_waiters:
+        if queue._owed_wakeups:
+            queue._owed_wakeups -= 1
+            queue._writer()
+        elif queue._space_waiters:
             queue._space_waiters.popleft()()
         chosen += 1
         self.next_input[output] = chosen if chosen < self.radix else 0
@@ -382,13 +393,15 @@ class CrossbarSwitch:
         """Wire ``output`` into a downstream queue.
 
         A switch input queue downstream gets :meth:`_finish_hop`; any
-        other queue (a network exit queue) gets :meth:`_finish`.
+        other queue (a network exit queue) gets :meth:`_finish`.  Either
+        way the sink takes this output's waker as its one writer.
         """
         finish = (
             CrossbarSwitch._finish_hop
             if isinstance(sink, SwitchInputQueue)
             else CrossbarSwitch._finish
         )
+        sink.attach_writer(partial(CrossbarSwitch.wake, self, output))
         self._finishers[output] = partial(finish, self, output)
         self.sink[output] = sink
         self._idle |= 1 << output

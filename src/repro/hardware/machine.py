@@ -78,7 +78,7 @@ class CedarMachine:
         if tracer is None:
             tracer = current_tracer()
         if tracer is None:
-            tracer = Tracer(enabled=False)
+            tracer = Tracer(enabled=False, max_records=0)
         self.tracer = tracer
         tracer.set_clock(lambda: self.engine.now)
         self.engine.tracer = tracer.if_enabled()

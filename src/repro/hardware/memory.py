@@ -109,12 +109,15 @@ class MemoryModule:
         if not packets:
             return
         self._busy = True
-        # BoundedWordQueue.pop, inline: its space waiter runs here too.
+        # BoundedWordQueue.pop, inline: its wake-up runs here too.
         request = packets.popleft()
         queue._used_words -= request.words
         if queue._sanitizer is not None:
             queue._sanitizer.queue_popped(queue, request)
-        if queue._space_waiters:
+        if queue._owed_wakeups:
+            queue._owed_wakeups -= 1
+            queue._writer()
+        elif queue._space_waiters:
             queue._space_waiters.popleft()()
         if self._sanitizer is not None:
             self._sanitizer.memory_request(self, request)

@@ -13,8 +13,8 @@ forward network and when each datum returns via the reverse network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MonitorConfig
 from repro.errors import MonitorError
@@ -170,19 +170,29 @@ class PerformanceMonitor:
                 whether or not timeline recording is enabled.
         """
         self._bus = bus
-        bus.subscribe(
-            self.FIRST_WORD_SIGNAL,
-            lambda value: self.histogram("first_word_latency").record(value),
-        )
-        bus.subscribe(
-            self.INTERARRIVAL_SIGNAL,
-            lambda value: self.histogram("interarrival").record(value),
-        )
+        self._cable(bus, self.FIRST_WORD_SIGNAL, "first_word_latency")
+        self._cable(bus, self.INTERARRIVAL_SIGNAL, "interarrival")
         bus.subscribe(
             self.SOFTWARE_SIGNAL,
             lambda event: self.tracer("software").post(*event),
         )
         bus.publish(self.CONNECTED_SIGNAL, self)
+
+    def _cable(self, bus, signal: str, name: str) -> None:
+        """Feed ``signal`` into histogrammer ``name``.
+
+        The first value creates the histogrammer (one that never records is
+        never created, so collectors report no empty series for it) and
+        swaps its ``record`` onto the bus in place of this first handler,
+        so every later value goes straight to ``record``.
+        """
+
+        def first(value: int) -> None:
+            histogram = self.histogram(name)
+            bus.resubscribe(signal, first, histogram.record)
+            histogram.record(value)
+
+        bus.subscribe(signal, first)
 
     def tracer(self, name: str, cascade: int = 1) -> EventTracer:
         """Get or create a named event tracer."""

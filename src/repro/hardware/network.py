@@ -194,12 +194,15 @@ class OmegaNetwork:
         def drain() -> None:
             nonlocal slot_delivered
             while packets:
-                # BoundedWordQueue.pop, inline (its space waiter included).
+                # BoundedWordQueue.pop, inline (its wake-up included).
                 packet = packets.popleft()
                 queue._used_words -= packet.words
                 if queue._sanitizer is not None:
                     queue._sanitizer.queue_popped(queue, packet)
-                if queue._space_waiters:
+                if queue._owed_wakeups:
+                    queue._owed_wakeups -= 1
+                    queue._writer()
+                elif queue._space_waiters:
                     queue._space_waiters.popleft()()
                 if counters is not None:
                     if slot_delivered < 0:

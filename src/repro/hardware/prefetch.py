@@ -47,14 +47,14 @@ class PrefetchHandle:
     stride: int
     start_address: int
     fire_cycle: int
-    issue_cycles: List[Optional[int]] = field(default_factory=list)
+    #: Cycle the first word's request entered the network (None until then).
+    first_issue_cycle: Optional[int] = None
     arrival_cycles: List[Optional[int]] = field(default_factory=list)
     _arrival_order: List[int] = field(default_factory=list)
     _waiters: Dict[int, List[Callable[[], None]]] = field(default_factory=dict)
     invalidated: bool = False
 
     def __post_init__(self) -> None:
-        self.issue_cycles = [None] * self.length
         self.arrival_cycles = [None] * self.length
 
     def address_of(self, index: int) -> int:
@@ -83,9 +83,9 @@ class PrefetchHandle:
 
     def first_word_latency(self) -> int:
         """Cycles from first-address issue to first datum return."""
-        if self.issue_cycles[0] is None or not self._arrival_order:
+        if self.first_issue_cycle is None or not self._arrival_order:
             raise SimulationError("prefetch has no completed first word")
-        return self._arrival_order[0] - self.issue_cycles[0]
+        return self._arrival_order[0] - self.first_issue_cycle
 
     def interarrival_times(self) -> List[int]:
         """Gaps between consecutive word returns, in arrival order."""
@@ -224,7 +224,8 @@ class PrefetchUnit:
         )
         if port.forward.try_inject(source, packet):
             port._callbacks[tag] = (handle, index)
-            handle.issue_cycles[index] = now
+            if not index:
+                handle.first_issue_cycle = now
             self._next_index = index + 1
             counters = self._trace_counters
             if counters is not None:

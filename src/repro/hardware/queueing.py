@@ -4,6 +4,16 @@
 control between stages prevents queue overflow" (Section 2).  Queues are
 measured in 64-bit words, so a four-word packet occupies four queue slots,
 and a crossbar port forwards one word per cycle.
+
+Flow control has two shapes.  A queue fed by a crossbar output is
+*switch-fed*: that output is its only writer, so a blocked writer is one
+signal per port.  The queue holds the writer's prebound waker once and
+counts the wake-ups it owes (one per port conflict), so its waiting state
+is two fields however long the port stays congested.  Any other queue
+(a network entry queue, or a stand-alone one) keeps a deque of one-shot
+endpoint waiters.  Each pop pays one owed wake-up, else fires the oldest
+endpoint waiter; a queue never holds both kinds, so the order is the
+order one shared deque would give.
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ class BoundedWordQueue:
 
     Components interested in new arrivals register *item listeners*;
     components blocked on a full queue register one-shot *space waiters*
-    that fire (in order) whenever words are freed.
+    that fire (in order) whenever words are freed.  A switch-fed queue
+    (:meth:`attach_writer`) instead owes its one writer a count of
+    wake-ups and refuses space waiters.
     """
 
     def __init__(self, capacity_words: int, name: str = "") -> None:
@@ -39,6 +51,10 @@ class BoundedWordQueue:
         # old copy-then-iterate list gave.
         self._item_listeners: Tuple[Notification, ...] = ()
         self._space_waiters: Deque[Notification] = deque()
+        #: The one upstream writer of a switch-fed queue, else None.
+        self._writer: Optional[Notification] = None
+        #: Wake-ups owed to ``_writer``: one per port conflict on this queue.
+        self._owed_wakeups = 0
         #: Armed invariant checker or None; one is-not-None test per
         #: push/pop keeps the unsanitized path pay-for-use.
         self._sanitizer = sanitize.current()
@@ -85,7 +101,10 @@ class BoundedWordQueue:
         self._used_words -= packet.words
         if self._sanitizer is not None:
             self._sanitizer.queue_popped(self, packet)
-        if self._space_waiters:
+        if self._owed_wakeups:
+            self._owed_wakeups -= 1
+            self._writer()
+        elif self._space_waiters:
             self._space_waiters.popleft()()
         return packet
 
@@ -95,7 +114,24 @@ class BoundedWordQueue:
 
     def wait_for_space(self, waiter: Notification) -> None:
         """Call ``waiter`` once, the next time words are freed."""
+        if self._writer is not None:
+            raise SimulationError(
+                f"queue {self.name} is switch-fed: its writer's wake-ups "
+                "are counted, not queued"
+            )
         self._space_waiters.append(waiter)
+
+    def attach_writer(self, waker: Notification) -> None:
+        """Make this queue switch-fed, with ``waker`` as its one writer.
+
+        A port conflict then adds one to ``_owed_wakeups`` and each pop
+        pays one back by calling ``waker``.
+        """
+        if self._writer is not None or self._space_waiters:
+            raise SimulationError(
+                f"queue {self.name} already has a writer or space waiters"
+            )
+        self._writer = waker
 
     def _overflow(self, words: int) -> None:
         raise SimulationError(

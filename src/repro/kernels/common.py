@@ -11,7 +11,7 @@ the kernels are stationary streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.config import CE_CYCLE_SECONDS, CedarConfig, active_config
 from repro.hardware.ce import ComputationalElement, KernelFactory

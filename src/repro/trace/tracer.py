@@ -325,6 +325,17 @@ class Tracer:
         """Deliver every published ``signal`` value to ``handler``."""
         self._subscribers.setdefault(signal, []).append(handler)
 
+    def resubscribe(
+        self, signal: str, old: Callable[[object], None],
+        new: Callable[[object], None],
+    ) -> None:
+        """Put ``new`` in ``old``'s place among ``signal``'s subscribers.
+
+        Delivery order is kept; safe from inside a delivery of ``signal``.
+        """
+        handlers = self._subscribers[signal]
+        handlers[handlers.index(old)] = new
+
     def publish(self, signal: str, value: object = None) -> None:
         """Deliver ``value`` to subscribers; also recorded when enabled."""
         handlers = self._subscribers.get(signal)

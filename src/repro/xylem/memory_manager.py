@@ -8,9 +8,8 @@ analysis of [MaEG92].
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.config import CedarConfig, DEFAULT_CONFIG, WORD_BYTES
 from repro.errors import SimulationError

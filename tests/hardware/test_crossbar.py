@@ -1,16 +1,19 @@
-"""Tests for the flat crossbar switch and its prebound space waiters."""
+"""Tests for the flat crossbar switch and its owed writer wake-ups."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.crossbar import CrossbarSwitch
 from repro.hardware.engine import Engine
+from repro.hardware.machine import CedarMachine
 from repro.hardware.memory import MemoryModule
 from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.queueing import BoundedWordQueue
+from repro.kernels.vector_load import vector_load_kernel
 from repro.trace import Tracer
 
 
@@ -30,21 +33,35 @@ def make_switch(tracer=None):
 
 class TestPortConflicts:
     @pytest.mark.parametrize("rescans", [1, 2, 5])
-    def test_each_rescan_counts_and_queues_the_same_waiter(self, rescans):
+    def test_rescans_owe_wakeups_and_pops_pay_them(self, rescans):
         tracer = Tracer(enabled=True)
         with sanitize.sanitizing() as sanitizer:
             switch = make_switch(tracer)
-            sink = BoundedWordQueue(1, name="sink")
+            sink = BoundedWordQueue(rescans, name="sink")
             switch.connect_output(0, sink)
-            sink.push(packet())                      # the sink is full
-            switch.input_queues[2].push(packet())    # first scan: conflict
+            for _ in range(rescans):
+                sink.push(packet())                  # the sink is full
+            blocked = packet()
+            switch.input_queues[2].push(blocked)     # first scan: conflict
             for _ in range(rescans - 1):
                 switch.wake(0)                       # each re-scan: conflict
+            totals = tracer.counter_totals()["x"]
+            assert totals["port_conflicts"] == rescans
+            assert sink._owed_wakeups == rescans and not sink._space_waiters
+            woken = []
+            writer = sink._writer
+            sink._writer = lambda: (woken.append(sink.free_words), writer())
+            for _ in range(rescans):
+                sink.pop()                           # pays one wake-up
+            # The first re-scan grants; the rest find the output busy.
+            assert woken == list(range(1, rescans + 1))
+            assert sink._owed_wakeups == 0
+            assert switch.in_flight[0] is blocked
+            switch.engine.run_until_idle()
+            assert sink.pop() is blocked             # nothing left owed
+            assert len(woken) == rescans
         assert sanitizer.violations == 0
-        totals = tracer.counter_totals()["x"]
-        assert totals["port_conflicts"] == rescans
-        assert len(sink._space_waiters) == rescans
-        assert len({id(w) for w in sink._space_waiters}) == 1
+        assert tracer.counter_totals()["x"]["port_conflicts"] == rescans
 
     def test_waiter_rescans_its_output_when_space_frees(self):
         switch = make_switch()
@@ -54,12 +71,59 @@ class TestPortConflicts:
         blocked = packet()
         switch.input_queues[2].push(blocked)
         assert switch._idle == 0b0001              # only output 0 is wired
-        sink.pop()                                   # fires the waiter
+        sink.pop()                                   # pays the wake-up
         assert switch._idle == 0 and switch.in_flight[0] is blocked
         assert switch.next_input[0] == 3
         switch.engine.run_until_idle()
         assert sink.head() is blocked
         assert switch.in_flight == [None] * 4 and switch._idle == 0b0001
+
+
+class TestSwitchFedQueues:
+    """A crossbar output is its sink's one writer: the sink counts the
+    wake-ups it owes that writer and takes no other space waiter."""
+
+    def test_wait_for_space_on_a_switch_fed_queue_raises(self):
+        switch = make_switch()
+        sink = BoundedWordQueue(1, name="sink")
+        switch.connect_output(0, sink)
+        with pytest.raises(SimulationError, match="switch-fed"):
+            sink.wait_for_space(lambda: None)
+
+    def test_wait_for_space_on_a_later_stage_input_raises(self):
+        network = OmegaNetwork(Engine(), 16, DEFAULT_CONFIG.network, name="n")
+        assert network.num_stages > 1
+        with pytest.raises(SimulationError, match="switch-fed"):
+            network.stages[1][0].input_queues[0].wait_for_space(lambda: None)
+        network.entry_queue(0).wait_for_space(lambda: None)  # endpoint side
+
+    def test_a_sink_takes_one_writer(self):
+        switch = make_switch()
+        sink = BoundedWordQueue(1, name="sink")
+        switch.connect_output(0, sink)
+        with pytest.raises(SimulationError, match="already has a writer"):
+            switch.connect_output(1, sink)
+
+    def test_contended_run_queues_no_waiter_on_switch_fed_queues(self):
+        """After a conflict-heavy run every blocked writer's wait is one
+        integer on its sink; the waiter deques hold nothing."""
+        tracer = Tracer(max_records=0)
+        machine = CedarMachine(DEFAULT_CONFIG, tracer=tracer)
+        machine.run_kernel(vector_load_kernel(DEFAULT_CONFIG, blocks=4), 32)
+        conflicts = sum(
+            totals.get("port_conflicts", 0)
+            for totals in tracer.counter_totals().values()
+        )
+        assert conflicts > 0
+        queues = [
+            queue
+            for network in (machine.forward, machine.reverse)
+            for queue in network._buffers
+            if queue._writer is not None
+        ]
+        assert queues
+        assert not any(queue._space_waiters for queue in queues)
+        assert sum(queue._owed_wakeups for queue in queues) > 0
 
 
 class TestRoundRobin:

@@ -166,6 +166,26 @@ class TestPerformanceMonitor:
         assert connected.latency_summary() == standalone.latency_summary()
         assert connected.latency_summary() == pytest.approx((90.0, 5.0))
 
+    def test_bus_cabling_creates_a_histogram_on_its_first_value(self):
+        """Connecting creates no histogram; the first value creates it and
+        puts its ``record`` on the bus, in the cabling's own place."""
+        from repro.trace import Tracer
+
+        bus = Tracer(enabled=False, max_records=0)
+        later = []
+        monitor = PerformanceMonitor(DEFAULT_CONFIG.monitor)
+        monitor.connect(bus)
+        bus.subscribe(PerformanceMonitor.INTERARRIVAL_SIGNAL, later.append)
+        assert monitor.histogram_summaries() == {}
+        bus.publish(PerformanceMonitor.INTERARRIVAL_SIGNAL, 3)
+        histogram = monitor.histogram("interarrival")
+        handlers = bus._subscribers[PerformanceMonitor.INTERARRIVAL_SIGNAL]
+        assert handlers == [histogram.record, later.append]
+        bus.publish(PerformanceMonitor.INTERARRIVAL_SIGNAL, 5)
+        assert histogram.counts() == {3: 1, 5: 1}
+        assert later == [3, 5]
+        assert list(monitor.histogram_summaries()) == ["interarrival"]
+
     def test_software_events_travel_over_the_bus(self):
         from repro.trace import Tracer
 
