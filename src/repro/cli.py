@@ -511,7 +511,8 @@ def _partition_telemetry_lines(key: str, telemetry: Dict[str, object]) -> List[s
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.hardware import sanitize
     from repro.parallel import parallel_map
-    import repro.partition  # noqa: F401  (once here, not in each --jobs worker)
+    # Loaded once here, not in each --jobs worker.
+    import repro.partition  # cedar: noqa[hyg.unused-import]
     from repro.version import version_fingerprint
 
     if "all" in args.experiments:

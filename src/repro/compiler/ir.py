@@ -39,10 +39,6 @@ class AffineExpr:
     def variables(self) -> List[str]:
         return [name for name, coeff in self.coefficients if coeff != 0]
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.variables
-
     def __add__(self, other: Union["AffineExpr", int]) -> "AffineExpr":
         other = _as_expr(other)
         merged = self.coeff_map

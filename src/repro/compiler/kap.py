@@ -11,8 +11,7 @@ most real loops, which is exactly the paper's observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 from repro.compiler.ir import Loop, LoopNest
 from repro.compiler.passes.parallelize import parallelize
@@ -38,6 +37,3 @@ class KapCompiler:
     def compile(self, nest: LoopNest) -> KapResult:
         loop = parallelize(nest.root, nest.symbols, allow_runtime_tests=False)
         return KapResult(nest=nest, loop=loop)
-
-    def compile_all(self, nests: List[LoopNest]) -> Dict[str, KapResult]:
-        return {nest.name: self.compile(nest) for nest in nests}

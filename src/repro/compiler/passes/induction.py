@@ -11,17 +11,9 @@ single-increment core of the transformation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.compiler.ir import (
-    AffineExpr,
-    ArrayRef,
-    Assignment,
-    Loop,
-    ScalarRef,
-    Statement,
-    var,
-)
+from repro.compiler.ir import AffineExpr, ArrayRef, Loop, ScalarRef, Statement, var
 
 
 def _find_induction_updates(loop: Loop) -> Dict[str, int]:

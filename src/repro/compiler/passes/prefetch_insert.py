@@ -11,9 +11,9 @@ the vector instruction."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
-from repro.compiler.ir import ArrayRef, Assignment, Loop
+from repro.compiler.ir import ArrayRef, Loop
 
 #: Compiler-generated prefetches cover at most 32 words.
 MAX_PREFETCH_WORDS = 32

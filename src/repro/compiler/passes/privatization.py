@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Set
 
-from repro.compiler.ir import ArrayRef, Assignment, Loop, ScalarRef
+from repro.compiler.ir import ArrayRef, Loop
 
 
 def _first_access_is_write(loop: Loop) -> Dict[str, bool]:

@@ -10,7 +10,7 @@ model executes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.compiler.ir import ArrayRef, Loop, LoopNest
 from repro.compiler.passes.induction import substitute_induction_variables

@@ -49,37 +49,34 @@ class VectorUnitConfig:
     """Parameters of the Alliant CE vector unit.
 
     The CE implements register-memory vector instructions with eight 32-word
-    vector registers.  Peak is one 64-bit result per cycle once the pipeline
-    is full; the start-up penalty is what separates the 376 MFLOPS absolute
-    peak from the paper's 274 MFLOPS "effective peak" for the rank-64 update.
+    vector registers and chains two arithmetic operations per memory request
+    (Section 4.1, "All versions chain two operations per memory request").
+    Peak is one 64-bit result per cycle once the pipeline is full; the
+    start-up penalty is what separates the 376 MFLOPS absolute peak from the
+    paper's 274 MFLOPS "effective peak" for the rank-64 update.
     """
 
-    num_registers: int = 8
     register_length: int = 32
     #: Pipeline start-up cycles charged to every vector instruction.  Chosen
     #: so that a 32-element vector operation runs at 274/376 of peak:
     #: 32 / (32 + startup) = 0.729 -> startup = 12 cycles.
     startup_cycles: int = 12
-    #: Result elements produced per cycle in steady state.
-    elements_per_cycle: int = 1
-    #: Two arithmetic operations can be chained per memory request
-    #: (Section 4.1, "All versions chain two operations per memory request").
-    chained_ops_per_element: int = 2
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Shared cluster cache (Section 2, "Alliant clusters")."""
+    """Shared cluster cache (Section 2, "Alliant clusters").
+
+    A four-way interleaved write-back cache shared by the cluster's CEs.
+    """
 
     size_bytes: int = 512 * 1024
     line_bytes: int = 32
-    interleave_ways: int = 4
     #: Outstanding misses allowed per CE (lockup-free, two misses).
     outstanding_misses_per_ce: int = 2
     #: Words the cache can supply per instruction cycle (eight 64-bit words,
     #: i.e. one word per CE per cycle with 8 CEs).
     words_per_cycle: int = 8
-    write_back: bool = True
     #: Cache hit latency in CE cycles (pipelined; one vector stream/CE).
     hit_latency_cycles: int = 1
 
@@ -103,7 +100,9 @@ class NetworkConfig:
     Two unidirectional multistage shuffle-exchange networks (forward:
     processor -> memory, reverse: memory -> processor) built from 8x8
     crossbar switches with 64-bit-wide data paths, two-word queues on each
-    input and output port, and flow control between stages.
+    input and output port, and flow control between stages.  A packet is
+    one to four 64-bit words, the first carrying routing/control and the
+    memory address (:data:`repro.hardware.packet.MAX_PACKET_WORDS`).
     """
 
     switch_radix: int = 8
@@ -117,9 +116,6 @@ class NetworkConfig:
     min_first_word_latency_cycles: int = 8
     #: Per-stage switch traversal cost in cycles.
     stage_latency_cycles: int = 1
-    #: Maximum payload words per packet (one to four 64-bit words, the first
-    #: carrying routing/control and the memory address).
-    max_packet_words: int = 4
 
 
 @dataclass(frozen=True)
@@ -224,11 +220,11 @@ class VirtualMemoryConfig:
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """External hardware performance monitoring (Section 2)."""
+    """External hardware performance monitoring (Section 2), with 32-bit
+    counters."""
 
     tracer_capacity_events: int = 1_000_000
     histogrammer_counters: int = 64 * 1024
-    counter_bits: int = 32
 
 
 @dataclass(frozen=True)
@@ -280,10 +276,6 @@ class CedarConfig:
     def seconds_to_cycles(self, seconds: float) -> float:
         """Convert wall-clock seconds to CE instruction cycles."""
         return seconds / CE_CYCLE_SECONDS
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert CE instruction cycles to wall-clock seconds."""
-        return cycles * CE_CYCLE_SECONDS
 
 
 #: The Cedar machine as described in the paper.

@@ -13,7 +13,7 @@ only as a checklist record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.bands import Band, census, classify_efficiency
 from repro.core.metrics import Ensemble

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.baselines import CRAY_YMP8
-from repro.core.bands import Band, BandCensus, census, classify_efficiency
+from repro.core.bands import BandCensus, census, classify_efficiency
 from repro.core.report import efficiency_scatter, fraction_description
 from repro.metrics.headline import HeadlineMetric
 from repro.perfect.suite import run_suite

@@ -19,7 +19,7 @@ the design rescales, which is the PPT5 answer the Cedar group expected.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.config import CedarConfig, DEFAULT_CONFIG
 from repro.core.report import format_table

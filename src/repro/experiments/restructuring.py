@@ -9,7 +9,7 @@ columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.compiler import CedarRestructurer, KapCompiler
 from repro.compiler.ir import (

@@ -4,11 +4,11 @@ improvement over automatable-with-prefetch-without-Cedar-synchronization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.report import format_table
 from repro.metrics.headline import HeadlineMetric
-from repro.perfect.suite import code_names, get_profile, run_code
+from repro.perfect.suite import run_code
 from repro.perfect.targets import TARGETS
 from repro.perfect.versions import Version
 

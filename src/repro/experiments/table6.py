@@ -8,7 +8,7 @@ count: Cedar automatable at P=32 (paper: 1 high, 9 intermediate,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.baselines import CRAY_YMP8
 from repro.core.bands import BandCensus, census

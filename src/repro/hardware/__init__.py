@@ -14,9 +14,9 @@ The package models the machine bottom-up:
   buffers, full/empty bits and page-crossing suspension.
 * :mod:`repro.hardware.cache` / :mod:`repro.hardware.cluster_memory` -- the
   Alliant cluster memory hierarchy.
-* :mod:`repro.hardware.ce` / :mod:`repro.hardware.vector_unit` /
-  :mod:`repro.hardware.ccb` / :mod:`repro.hardware.cluster` -- computational
-  elements and the concurrency control bus.
+* :mod:`repro.hardware.ce` / :mod:`repro.hardware.ccb` /
+  :mod:`repro.hardware.cluster` -- computational elements (with the vector
+  unit's start-up timing) and the concurrency control bus.
 * :mod:`repro.hardware.vm` -- Xylem virtual memory (4KB pages, TLBs).
 * :mod:`repro.hardware.monitor` -- event tracers and histogrammers.
 * :mod:`repro.hardware.machine` -- the four-cluster Cedar assembly.

@@ -15,7 +15,6 @@ serving two words per cycle).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
 
 from repro.config import CacheConfig, ClusterMemoryConfig, WORD_BYTES
 from repro.hardware import sanitize
@@ -32,7 +31,6 @@ class BandwidthServer:
         self.words_per_cycle = words_per_cycle
         self.name = name
         self._next_free = 0.0
-        self.words_served = 0
         self._sanitizer = sanitize.current()
 
     def reserve(self, words: int) -> int:
@@ -47,17 +45,11 @@ class BandwidthServer:
         start = max(float(self.engine.now), self._next_free)
         finish = start + words / self.words_per_cycle
         self._next_free = finish
-        self.words_served += words
         if self._sanitizer is not None:
             self._sanitizer.check_bandwidth_reserve(
                 self, previous_free, start, finish, words
             )
         return int(round(finish))
-
-    @property
-    def backlog_cycles(self) -> float:
-        """How far ahead of the clock the server is booked."""
-        return max(0.0, self._next_free - self.engine.now)
 
 
 class ClusterCache:
@@ -96,9 +88,6 @@ class ClusterCache:
     def _line_of(self, address: int) -> int:
         return address // self.words_per_line
 
-    def is_resident(self, address: int) -> bool:
-        return self._line_of(address) in self._lines
-
     def _touch(self, line: int, dirty: bool) -> None:
         previously_dirty = self._lines.pop(line, False)
         self._lines[line] = previously_dirty or dirty
@@ -111,32 +100,6 @@ class ClusterCache:
                 # Write-back consumes memory-bus bandwidth but never stalls
                 # the requester (write-back cache, non-blocking writes).
                 self.memory_port.reserve(self.words_per_line)
-
-    def access(self, address: int, write: bool = False) -> Tuple[bool, int]:
-        """One word access.
-
-        Returns:
-            (hit, completion_cycle).  A miss reserves a full line transfer
-            from cluster memory plus the fixed miss latency.
-        """
-        line = self._line_of(address)
-        hit = line in self._lines
-        if hit:
-            self.hits += 1
-            finish = self.port.reserve(1) + self.config.hit_latency_cycles
-        else:
-            self.misses += 1
-            fill_done = self.memory_port.reserve(self.words_per_line)
-            finish = (
-                max(self.port.reserve(1), fill_done)
-                + self.memory_config.miss_latency_cycles
-            )
-        if self.trace is not None:
-            self._trace_access(hit, 1)
-        self._touch(line, dirty=write)
-        if self._sanitizer is not None:
-            self._sanitizer.check_cache_directory(self)
-        return hit, finish
 
     def stream(self, length: int, resident: bool = True) -> int:
         """Reserve a vector stream of ``length`` words; returns finish cycle.

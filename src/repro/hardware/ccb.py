@@ -10,7 +10,7 @@ among themselves."
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.config import ConcurrencyBusConfig
 from repro.errors import SimulationError
@@ -61,7 +61,6 @@ class ConcurrencyControlBus:
         self.name = name
         self.trace = tracer.if_enabled() if tracer is not None else None
         self._sanitizer = sanitize.current()
-        self.loops_started = 0
 
     def concurrent_start(
         self,
@@ -80,7 +79,6 @@ class ConcurrencyControlBus:
             static: Pre-assign iterations round-robin instead of
                 self-scheduling (the run-time library supports both).
         """
-        self.loops_started += 1
         counter = IterationCounter(num_iterations)
         remaining = {"ces": len(self.ces)}
         trace = self.trace

@@ -13,7 +13,7 @@ instruction -- are enforced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional
 
 from repro.config import CedarConfig
@@ -24,7 +24,6 @@ from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.prefetch import PrefetchHandle, PrefetchUnit
 from repro.hardware.sync_processor import OperateOp, TestOp
-from repro.hardware.vector_unit import VectorUnit
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +204,19 @@ class ComputationalElement:
         cache,
         memory_port_of: Callable[[int], int],
         monitor=None,
-        cluster_index: int = 0,
-        index_in_cluster: int = 0,
         tracer=None,
     ) -> None:
         self.engine = engine
         self.config = config
         self.global_port = global_port
-        self.cluster_index = cluster_index
-        self.index_in_cluster = index_in_cluster
         self.cache = cache
         self.monitor = monitor
         self.tracer = tracer
         self.trace = tracer.if_enabled() if tracer is not None else None
-        self.vector_unit = VectorUnit(config.vector)
         self.port = NetworkPort(engine, global_port, forward, reverse, memory_port_of)
         self.pfu = PrefetchUnit(engine, config.prefetch, self.port, tracer=tracer)
         self._sanitizer = sanitize.current()
         self.flops = 0.0
-        self.busy_until = 0
         self.finished_at: Optional[int] = None
         self._coroutine: Optional[KernelCoroutine] = None
         self._done_callbacks: List[Callable[[], None]] = []

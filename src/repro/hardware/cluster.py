@@ -50,8 +50,6 @@ class Cluster:
                     a, num_modules, interleave_words
                 ),
                 monitor=monitor,
-                cluster_index=index,
-                index_in_cluster=ce,
                 tracer=tracer,
             )
             for ce in range(config.ces_per_cluster)

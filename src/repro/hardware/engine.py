@@ -222,10 +222,6 @@ class Engine:
         else:
             bucket.append(now_callback)
 
-    def schedule_at(self, cycle: int, callback: Callback) -> None:
-        """Run ``callback`` at absolute time ``cycle``."""
-        self.schedule(cycle - self._now, callback)
-
     def recurring(self, interval: int, callback: Callback) -> RecurringEvent:
         """A reusable periodic event; see :class:`RecurringEvent`."""
         return RecurringEvent(self, interval, callback)
@@ -324,10 +320,6 @@ class Engine:
         finally:
             self._in_dispatch = False
             self._run_dispatched = dispatched
-
-    def run_until_idle(self) -> int:
-        """Run until no events remain; returns the final time."""
-        return self.run(until=None)
 
 
 def _runaway(max_events: int, cycle: int) -> SimulationError:

@@ -9,7 +9,7 @@ coroutines on subsets of the machine and reading back MFLOPS.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.config import CE_CYCLE_SECONDS, CedarConfig, active_config
 from repro.errors import SimulationError
@@ -22,7 +22,6 @@ from repro.hardware.monitor import PerformanceMonitor
 from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet
 from repro.hardware.sync_processor import OperateOp, SyncProcessor, TestOp
-from repro.hardware.vm import VirtualMemory
 from repro.trace import Tracer, current_tracer
 
 
@@ -112,7 +111,6 @@ class CedarMachine:
             )
             for i in range(config.num_clusters)
         ]
-        self.vm = VirtualMemory(config.vm, config.num_clusters)
 
     # -- CE selection --------------------------------------------------------
 
@@ -162,33 +160,6 @@ class CedarMachine:
             raise SimulationError(
                 f"{done['remaining']} CEs never finished (deadlock or until= too small)"
             )
-        return done["at"]
-
-    def run_per_ce(
-        self,
-        kernels: Sequence[KernelFactory],
-        until: Optional[int] = None,
-    ) -> int:
-        """Run a distinct kernel on each of the first len(kernels) CEs."""
-        selected = self.ces(len(kernels))
-        done = {"remaining": len(selected), "at": 0}
-
-        def one_done() -> None:
-            done["remaining"] -= 1
-            done["at"] = self.engine.now
-
-        trace = self.tracer.if_enabled()
-        if trace is not None:
-            trace.begin("machine", f"run_per_ce[{len(selected)} ces]")
-        try:
-            for ce, kernel in zip(selected, kernels):
-                ce.run(kernel, on_done=one_done)
-            self.engine.run(until=until)
-        finally:
-            if trace is not None:
-                trace.end("machine")
-        if done["remaining"] != 0:
-            raise SimulationError("not all CEs finished")
         return done["at"]
 
     # -- measurement -----------------------------------------------------------

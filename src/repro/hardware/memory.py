@@ -57,7 +57,6 @@ class MemoryModule:
         self.engine = engine
         self.index = index
         self.config = config
-        self.sync_config = sync_config
         self.forward_queue = forward_queue
         self.reverse = reverse
         self.trace = tracer.if_enabled() if tracer is not None else None
@@ -246,14 +245,3 @@ class GlobalMemory:
             )
             for i in range(config.num_modules)
         ]
-
-    def module_for(self, address: int) -> MemoryModule:
-        return self.modules[
-            module_for_address(
-                address, self.config.num_modules, self.config.interleave_words
-            )
-        ]
-
-    @property
-    def total_requests_served(self) -> int:
-        return sum(m.requests_served for m in self.modules)

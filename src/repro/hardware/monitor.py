@@ -206,14 +206,6 @@ class PerformanceMonitor:
             self._histograms[name] = Histogrammer(self.config, bin_width=bin_width)
         return self._histograms[name]
 
-    def start_all(self) -> None:
-        for tracer in self._tracers.values():
-            tracer.start()
-
-    def stop_all(self) -> None:
-        for tracer in self._tracers.values():
-            tracer.stop()
-
     def record_prefetch(self, handle) -> None:
         """File one completed prefetch's Table 2 metrics.
 

@@ -35,11 +35,6 @@ def _digit(value: int, position: int, radix: int) -> int:
     return (value // radix**position) % radix
 
 
-def _with_digit(value: int, position: int, radix: int, digit: int) -> int:
-    base = radix**position
-    return value - _digit(value, position, radix) * base + digit * base
-
-
 class OmegaNetwork:
     """A unidirectional multistage network of 8x8 crossbar switches."""
 
@@ -72,7 +67,6 @@ class OmegaNetwork:
         # machine builder's routing-tag derivation (config.py owns it).
         self.num_stages = network_stages_for(num_ports, self.radix)
         self.num_lines = self.radix**self.num_stages
-        self.num_ports = num_ports
         self._sinks: Dict[int, DeliveryHandler] = {}
         self._delivery_queues: List[BoundedWordQueue] = []
         self._sanitizer = sanitize.current()
@@ -213,10 +207,6 @@ class OmegaNetwork:
                 schedule_after(0, partial(handler, packet))
 
         queue.add_item_listener(drain)
-
-    def entry_queue(self, port: int) -> BoundedWordQueue:
-        """The first-stage input queue fed by source ``port``."""
-        return self._entry_queues[port]
 
     def try_inject(self, port: int, packet: Packet) -> bool:
         """Offer a packet at a source port; False when the entry queue is full."""

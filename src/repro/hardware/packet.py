@@ -50,7 +50,6 @@ class Packet:
             outcomes).  In hardware this rides in the packet's control
             word(s).
         packet_id: Unique per construction, in construction order.
-        payload_words: Data words carried (words - 1 header word).
     """
 
     __slots__ = (
@@ -95,10 +94,6 @@ class Packet:
             f"request_tag={self.request_tag!r}, payload={self.payload!r}, "
             f"packet_id={self.packet_id!r})"
         )
-
-    @property
-    def payload_words(self) -> int:
-        return self.words - 1
 
     def reply(
         self, kind: PacketKind, words: int, issue_cycle: int, payload: object = None

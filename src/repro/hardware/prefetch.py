@@ -57,9 +57,6 @@ class PrefetchHandle:
     def __post_init__(self) -> None:
         self.arrival_cycles = [None] * self.length
 
-    def address_of(self, index: int) -> int:
-        return self.start_address + index * self.stride
-
     @property
     def words_arrived(self) -> int:
         return len(self._arrival_order)
@@ -67,10 +64,6 @@ class PrefetchHandle:
     @property
     def complete(self) -> bool:
         return self.words_arrived == self.length
-
-    def is_available(self, index: int) -> bool:
-        """Full/empty bit of buffer word ``index``."""
-        return self.arrival_cycles[index] is not None
 
     def wait_for_word(self, index: int, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` when word ``index`` becomes available."""

@@ -99,14 +99,6 @@ def enabled() -> bool:
     return _enabled
 
 
-def set_enabled(flag: bool) -> bool:
-    """Set the env-level flag (for tests); returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
 def current() -> Optional["Sanitizer"]:
     """The sanitizer newly built components should report to, or None.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.hardware import sanitize
 
@@ -81,7 +81,6 @@ class SyncProcessor:
 
     def __init__(self, tracer=None) -> None:
         self._words: Dict[int, int] = {}
-        self.operations_executed = 0
         self.trace = tracer.if_enabled() if tracer is not None else None
         self._sanitizer = sanitize.current()
 
@@ -94,7 +93,6 @@ class SyncProcessor:
 
     def test_and_set(self, address: int) -> SyncOutcome:
         """Classic Test-And-Set: returns the old value, sets the word to 1."""
-        self.operations_executed += 1
         if self.trace is not None:
             self.trace.count("sync", "test_and_set")
         old = self.read(address)
@@ -119,7 +117,6 @@ class SyncProcessor:
         The test compares the memory word against ``key``; only when it
         passes is the operation applied.
         """
-        self.operations_executed += 1
         if self.trace is not None:
             self.trace.count("sync", "test_and_operate")
         old = self.read(address)

@@ -21,17 +21,11 @@ from repro.config import VirtualMemoryConfig, WORD_BYTES
 
 @dataclass
 class VMStatistics:
-    """Per-cluster translation outcome counts and their cycle cost."""
+    """Per-cluster translation outcome counts."""
 
     tlb_hits: int = 0
     tlb_miss_faults: int = 0  # PTE valid in global memory, TLB refill only
     page_faults: int = 0  # page not yet materialized anywhere
-
-    def cost_cycles(self, config: VirtualMemoryConfig) -> int:
-        return (
-            self.tlb_miss_faults * config.tlb_miss_cycles
-            + self.page_faults * config.page_fault_cycles
-        )
 
 
 class TranslationBuffer:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import CedarConfig, active_config
+from repro.config import CedarConfig
 from repro.hardware.ce import (
     ArmFirePrefetch,
     Compute,

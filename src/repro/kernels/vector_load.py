@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import CedarConfig, active_config
+from repro.config import CedarConfig
 from repro.hardware.ce import ArmFirePrefetch, ComputationalElement, ConsumePrefetch
 from repro.kernels.common import KernelRun, MeasuredKernel, ce_base_address, run_measured
 

@@ -10,8 +10,8 @@ synchronization, I/O and data-movement costs it drags along.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 from repro.lang.placement import Placement
 

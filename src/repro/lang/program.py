@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from repro.errors import ProgramError
 from repro.lang.loops import Construct, Doall, Work

@@ -16,7 +16,7 @@ select between the measured regimes of Table 3:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Schedule(enum.Enum):
@@ -36,12 +36,6 @@ class RuntimeOptions:
     #: Confine execution to one cluster (a Perfect-rules option the paper
     #: used "in a few cases ... to avoid intercluster overhead").
     single_cluster: bool = False
-
-    def without_cedar_sync(self) -> "RuntimeOptions":
-        return replace(self, use_cedar_sync=False)
-
-    def without_prefetch(self) -> "RuntimeOptions":
-        return replace(self, use_prefetch=False)
 
 
 #: The configuration used for the "Automatable" column of Table 3.

@@ -1,3 +1,3 @@
 """Concrete rules; importing the package registers every rule."""
 
-from repro.lint.rules import determinism, discipline  # noqa: F401
+from repro.lint.rules import determinism, discipline, hygiene  # noqa: F401

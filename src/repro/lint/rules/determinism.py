@@ -13,7 +13,7 @@ enumeration order, or ambient environment state.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.core import FileContext, Finding, Rule, register
 

@@ -4,8 +4,7 @@
   histograms in a :class:`MetricsRegistry`.
 * :mod:`repro.metrics.collector` -- drain finished-run tracers and
   performance monitors into a registry.
-* :mod:`repro.metrics.export` -- Prometheus text exposition (+ parser) and
-  JSONL exporters.
+* :mod:`repro.metrics.export` -- Prometheus text exposition.
 * :mod:`repro.metrics.headline` -- the per-experiment declared metrics
   (measured vs paper targets).
 * :mod:`repro.metrics.bench` -- ``BENCH_<n>.json`` snapshots and the
@@ -23,11 +22,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "collect_monitor",
             "collect_tracer",
         ],
-        "repro.metrics.export": [
-            "jsonl_lines",
-            "parse_prometheus",
-            "prometheus_text",
-            "write_jsonl",
-        ],
+        "repro.metrics.export": ["prometheus_text"],
     },
 )

@@ -1,30 +1,17 @@
-"""Registry exporters: Prometheus text exposition and JSONL.
+"""Registry exporter: Prometheus text exposition.
 
-The paper moved monitoring data "to workstations for analysis"; these are
-our wire formats.  :func:`prometheus_text` emits the Prometheus text
+The paper moved monitoring data "to workstations for analysis"; this is
+our wire format.  :func:`prometheus_text` emits the Prometheus text
 exposition format (counters get a ``_total`` suffix if missing, histograms
-become cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``);
-:func:`parse_prometheus` is a minimal reader used to round-trip the
-exporter in tests and to diff exported files.  :func:`jsonl_lines` emits
-one self-describing JSON object per series for log pipelines.
+become cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import MetricsError
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Labels,
-    MetricsRegistry,
-    flat_series_name,
-)
+from repro.metrics.registry import Counter, Gauge, Histogram, Labels, MetricsRegistry
 
 
 def _escape_label_value(value: str) -> str:
@@ -98,99 +85,3 @@ def prometheus_text(registry: MetricsRegistry) -> str:
                     f"{instrument.count}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-_ESCAPE_RE = re.compile(r"\\(.)")
-_ESCAPES = {"n": "\n", '"': '"', "\\": "\\"}
-
-
-def _unescape(value: str) -> str:
-    # Single pass over escape sequences.  Chained str.replace calls corrupt
-    # values where one replacement manufactures another's pattern: the
-    # two-character value `\` + `n` escapes to `\\n`, which a leading
-    # replace(r"\n", "\n") would turn into `\` + newline.  With /metrics
-    # serving externally supplied config strings as labels, such values are
-    # reachable from the wire, not just from tests.
-    return _ESCAPE_RE.sub(
-        lambda match: _ESCAPES.get(match.group(1), "\\" + match.group(1)),
-        value,
-    )
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse exposition text into ``{name{k=v,...}: value}``.
-
-    A deliberately small subset (no exemplars, no timestamps) sufficient to
-    round-trip :func:`prometheus_text`; raises :class:`MetricsError` on any
-    line it cannot understand, so tests catch malformed output.
-    """
-    samples: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise MetricsError(f"unparseable exposition line: {line!r}")
-        labels_text = match.group("labels")
-        labels: List[Tuple[str, str]] = []
-        if labels_text:
-            consumed = 0
-            for label_match in _LABEL_RE.finditer(labels_text):
-                labels.append(
-                    (label_match.group(1), _unescape(label_match.group(2)))
-                )
-                consumed = label_match.end()
-            remainder = labels_text[consumed:].strip().strip(",")
-            if remainder:
-                raise MetricsError(
-                    f"unparseable label fragment {remainder!r} in {line!r}"
-                )
-        raw = match.group("value")
-        try:
-            value = float(raw.replace("+Inf", "inf").replace("-Inf", "-inf"))
-        except ValueError:
-            raise MetricsError(f"unparseable sample value {raw!r}") from None
-        key = flat_series_name(match.group("name"), tuple(sorted(labels)))
-        samples[key] = value
-    return samples
-
-
-def jsonl_lines(registry: MetricsRegistry) -> Iterator[str]:
-    """One JSON object per series: kind, name, labels, and the payload."""
-    for instrument in registry:
-        record: Dict[str, object] = {
-            "kind": registry.kind(instrument.name),
-            "name": instrument.name,
-            "labels": dict(instrument.labels),
-        }
-        if isinstance(instrument, (Counter, Gauge)):
-            record["value"] = instrument.value
-        else:
-            assert isinstance(instrument, Histogram)
-            record["count"] = instrument.count
-            record["sum"] = instrument.sum
-            record["min"] = instrument.min
-            record["max"] = instrument.max
-            record["buckets"] = {
-                _format_value(instrument.bucket_upper_bound(index)): count
-                for index, count in sorted(instrument.buckets.items())
-            }
-        yield json.dumps(record, sort_keys=True)
-
-
-def write_jsonl(registry: MetricsRegistry, path: str) -> int:
-    """Write the registry as JSONL; returns the number of lines written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as stream:
-        for line in jsonl_lines(registry):
-            stream.write(line + "\n")
-            count += 1
-    return count

@@ -15,7 +15,7 @@ history in every existing snapshot, so prefer adding metrics to renaming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Relative drift ``cedar-repro bench`` allows per snapshot section before
 #: it reports a failure.  Defined here, not in :mod:`repro.metrics.bench`, so the

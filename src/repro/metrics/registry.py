@@ -22,8 +22,8 @@ metrics exist even for tracing-disabled runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import MetricsError
 
@@ -74,13 +74,11 @@ class Gauge:
     name: str
     labels: Labels = ()
     value: float = 0.0
-    _written: bool = False
 
     def set(self, value: float) -> float:
         if not math.isfinite(value):
             raise MetricsError(f"gauge {self.name} set to non-finite {value!r}")
         self.value = float(value)
-        self._written = True
         return self.value
 
     def add(self, delta: float) -> float:
@@ -132,20 +130,6 @@ class Histogram:
         if self.count == 0:
             raise MetricsError(f"histogram {self.name} is empty")
         return self.sum / self.count
-
-    def quantile(self, fraction: float) -> float:
-        """Upper bound of the bucket holding the given cumulative fraction."""
-        if not 0 < fraction <= 1:
-            raise MetricsError(f"fraction must be in (0, 1], got {fraction}")
-        if self.count == 0:
-            raise MetricsError(f"histogram {self.name} is empty")
-        target = fraction * self.count
-        cumulative = 0
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative >= target:
-                return self.bucket_upper_bound(index)
-        raise AssertionError("unreachable: cumulative covers count")
 
 
 Instrument = object  # Counter | Gauge | Histogram

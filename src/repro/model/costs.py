@@ -8,7 +8,7 @@ simulator (the prefetch-effectiveness curve, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.config import CE_CYCLE_SECONDS, CedarConfig, DEFAULT_CONFIG

@@ -11,7 +11,7 @@ the paper's speed improvements are measured against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional
 
 from repro.config import CE_CYCLE_SECONDS, CedarConfig, DEFAULT_CONFIG
 from repro.errors import ProgramError

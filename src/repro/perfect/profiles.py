@@ -11,7 +11,7 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 

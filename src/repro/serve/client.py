@@ -145,12 +145,6 @@ class ServeClient:
     def healthz(self) -> Dict[str, object]:
         return self._request_json("GET", "/healthz")[2]
 
-    def metrics_text(self) -> str:
-        status, _, payload = self._request("GET", "/metrics")
-        if status != 200:
-            raise ServeError(f"GET /metrics -> {status}", status=status)
-        return payload.decode("utf-8")
-
     def submit(
         self,
         experiment: Optional[str] = None,

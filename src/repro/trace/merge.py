@@ -27,7 +27,7 @@ merge-determinism smoke step pins down.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, List, Set, Union
 
 from repro.trace.columnar import (
     INSTANT_INT_COLUMNS,

@@ -285,10 +285,6 @@ class Tracer:
             raise TraceError(f"span {component}/{name} ends before it starts")
         self._record_span(component, name, start, end, 0, args or None)
 
-    def open_spans(self, component: str) -> int:
-        """Depth of the begin/end stack (for tests and sanity checks)."""
-        return len(self._span_stacks.get(component, ()))
-
     def open_span_names(self, component: Optional[str] = None) -> List[str]:
         """Names of the currently open spans, outermost first.
 

@@ -14,12 +14,10 @@ services for Cedar."
 """
 
 from repro.xylem.filesystem import FileSystem, IORequest
-from repro.xylem.kernel import XylemKernel
 from repro.xylem.memory_manager import MemoryManager, Segment
 from repro.xylem.scheduler import ClusterScheduler, Task, TaskState
 
 __all__ = [
-    "XylemKernel",
     "ClusterScheduler",
     "Task",
     "TaskState",

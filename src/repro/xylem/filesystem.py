@@ -10,7 +10,7 @@ story of Section 4.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 #: Sustained unformatted sequential transfer rate through an IP (bytes/s).
@@ -47,12 +47,9 @@ class IORequest:
 
 
 class FileSystem:
-    """Accounting file service: requests, bytes, and total time."""
+    """File service priced per request; keeps the requests it served."""
 
-    def __init__(self, num_ips: int = 4) -> None:
-        if num_ips < 1:
-            raise ValueError("need at least one interactive processor")
-        self.num_ips = num_ips
+    def __init__(self) -> None:
         self.requests: List[IORequest] = []
 
     def transfer(self, request: IORequest) -> float:
@@ -63,14 +60,6 @@ class FileSystem:
     def seconds_for(self, byte_count: float, formatted: bool = False) -> float:
         """Cost of a transfer without recording it (model queries)."""
         return IORequest(byte_count=byte_count, formatted=formatted).seconds
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(r.byte_count for r in self.requests)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.requests)
 
     def reformat_savings(self, byte_count: float) -> float:
         """Seconds saved by converting formatted I/O to unformatted.

@@ -72,21 +72,11 @@ class MemoryManager:
         self.segments[name] = segment
         return segment
 
-    def is_global_address(self, word_address: int) -> bool:
-        """Section 2: 'cluster memory is in the lower half and shared
-        memory is in the upper half' of the physical address space."""
-        return word_address >= self._global_base
-
     def touch(self, cluster: int, segment_name: str) -> int:
         """A cluster walks a whole segment; returns translation cycles."""
         segment = self._get(segment_name)
         return self.vm.touch_range(cluster, segment.start_word,
                                    segment.num_words)
-
-    def fault_seconds(self, cluster: int) -> float:
-        """Wall-clock spent in VM activity by one cluster so far."""
-        cycles = self.vm.stats[cluster].cost_cycles(self.config.vm)
-        return self.config.cycles_to_seconds(cycles)
 
     def multicluster_fault_ratio(self, segment_name: str) -> float:
         """Faults of a 4-cluster walk over a 1-cluster walk (TRFD's ~4x).

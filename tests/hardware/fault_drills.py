@@ -158,7 +158,7 @@ def _drill_cache_balance() -> None:
     )
     for line in range(cache.num_lines + 2):  # bypass _touch's LRU eviction
         cache._lines[line] = False
-    cache.access(0)
+    cache.install_block(0, 1)
 
 
 def _drill_ccb_iterations() -> None:

@@ -131,9 +131,6 @@ class ReferenceEngine:
         self._push(delay, callback)
         self._push(0, now_callback)
 
-    def schedule_at(self, cycle: int, callback: Callback) -> None:
-        self.schedule(cycle - self._now, callback)
-
     def recurring(self, interval: int, callback: Callback) -> ReferenceRecurringEvent:
         return ReferenceRecurringEvent(self, interval, callback)
 
@@ -180,6 +177,3 @@ class ReferenceEngine:
                 self.tracer.count("engine", "runs")
                 if skipped:
                     self.tracer.count("engine", "idle_cycles_skipped", skipped)
-
-    def run_until_idle(self) -> int:
-        return self.run(until=None)

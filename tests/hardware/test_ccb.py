@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.hardware.ccb import IterationCounter
 from repro.hardware.ce import Compute
 from repro.hardware.machine import CedarMachine
@@ -31,14 +30,14 @@ class TestConcurrentStart:
         executed = []
 
         def body(ce, iteration):
-            executed.append((ce.index_in_cluster, iteration))
+            executed.append((ce.global_port, iteration))  # cluster 0: port == index
             yield Compute(work_cycles)
 
         done = {}
         cluster.cdoall(iterations, body,
                        on_done=lambda: done.setdefault("at", machine.engine.now),
                        static=static)
-        machine.engine.run_until_idle()
+        machine.engine.run()
         return machine, executed, done
 
     def test_every_iteration_runs_exactly_once(self):
@@ -69,12 +68,12 @@ class TestConcurrentStart:
         per_ce_iterations = {}
 
         def body(ce, iteration):
-            per_ce_iterations.setdefault(ce.index_in_cluster, []).append(iteration)
+            per_ce_iterations.setdefault(ce.global_port, []).append(iteration)
             # One long iteration; the rest short.
             yield Compute(500 if iteration == 0 else 10)
 
         cluster.cdoall(33, body)
-        machine.engine.run_until_idle()
+        machine.engine.run()
         slow_worker = next(
             ce for ce, its in per_ce_iterations.items() if 0 in its
         )

@@ -106,7 +106,19 @@ class TestVectorCache:
 
         cycles = machine.run_kernel(kernel, num_ces=1)
         assert machine.all_ces[0].flops == 64.0
-        assert cycles >= 32  # at least one element per cycle
+        # Start-up, then one element per cycle: 32 / (32 + 12) is the
+        # paper's 274 / 376 effective-to-absolute peak ratio.
+        assert cycles == machine.config.vector.startup_cycles + 32 == 44
+        assert 32 / cycles == pytest.approx(274 / 376, rel=0.01)
+
+    def test_long_op_pays_one_startup(self, machine):
+        # 64 words stream from the cache in 8 + 1 cycles, so the pipeline
+        # is the bound: one start-up for the whole instruction.
+        def kernel(ce):
+            yield VectorCacheOp(length=64)
+
+        cycles = machine.run_kernel(kernel, num_ces=1)
+        assert cycles == machine.config.vector.startup_cycles + 64 == 76
 
     def test_zero_length_rejected(self, machine):
         def kernel(ce):

@@ -13,8 +13,9 @@ class TestGlobalToCluster:
             yield from move_global_to_cluster(c, 1000, 64)
 
         machine.run_kernel(kernel, num_ces=1)
-        assert ce.cache.is_resident(1000)
-        assert ce.cache.is_resident(1063)
+        words_per_line = ce.cache.words_per_line
+        assert 1000 // words_per_line in ce.cache._lines
+        assert 1063 // words_per_line in ce.cache._lines
 
     def test_large_move_chunks_through_the_pfu(self, machine):
         ce = machine.all_ces[0]

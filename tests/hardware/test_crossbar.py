@@ -57,7 +57,7 @@ class TestPortConflicts:
             assert woken == list(range(1, rescans + 1))
             assert sink._owed_wakeups == 0
             assert switch.in_flight[0] is blocked
-            switch.engine.run_until_idle()
+            switch.engine.run()
             assert sink.pop() is blocked             # nothing left owed
             assert len(woken) == rescans
         assert sanitizer.violations == 0
@@ -74,7 +74,7 @@ class TestPortConflicts:
         sink.pop()                                   # pays the wake-up
         assert switch._idle == 0 and switch.in_flight[0] is blocked
         assert switch.next_input[0] == 3
-        switch.engine.run_until_idle()
+        switch.engine.run()
         assert sink.head() is blocked
         assert switch.in_flight == [None] * 4 and switch._idle == 0b0001
 
@@ -95,7 +95,7 @@ class TestSwitchFedQueues:
         assert network.num_stages > 1
         with pytest.raises(SimulationError, match="switch-fed"):
             network.stages[1][0].input_queues[0].wait_for_space(lambda: None)
-        network.entry_queue(0).wait_for_space(lambda: None)  # endpoint side
+        network._entry_queues[0].wait_for_space(lambda: None)  # endpoint side
 
     def test_a_sink_takes_one_writer(self):
         switch = make_switch()
@@ -141,7 +141,7 @@ class TestRoundRobin:
                             request_tag=10 * index + k,
                         )
                     )
-            switch.engine.run_until_idle()
+            switch.engine.run()
         assert sanitizer.violations == 0
         assert [p.request_tag for p in sink._packets] == [30, 0, 20, 31, 1, 21]
         assert switch.occupancy_words() == 0
@@ -200,6 +200,6 @@ def test_failed_reply_injections_requeue_one_waiter():
     module._pending_reply = packet()
     for _ in range(3):
         module._retry_reply()
-    waiters = reverse.entry_queue(0)._space_waiters
+    waiters = reverse._entry_queues[0]._space_waiters
     assert len(waiters) == 3
     assert {id(w) for w in waiters} == {id(module._retry_waiter)}

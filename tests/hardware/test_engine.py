@@ -21,7 +21,7 @@ class TestScheduling:
         order = []
         engine.schedule(5, lambda: order.append("late"))
         engine.schedule(1, lambda: order.append("early"))
-        engine.run_until_idle()
+        engine.run()
         assert order == ["early", "late"]
 
     def test_ties_break_by_scheduling_order(self):
@@ -29,14 +29,14 @@ class TestScheduling:
         order = []
         for tag in ("first", "second", "third"):
             engine.schedule(3, lambda t=tag: order.append(t))
-        engine.run_until_idle()
+        engine.run()
         assert order == ["first", "second", "third"]
 
     def test_clock_advances_to_event_time(self):
         engine = Engine()
         seen = []
         engine.schedule(7, lambda: seen.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert seen == [7]
         assert engine.now == 7
 
@@ -48,20 +48,13 @@ class TestScheduling:
             engine.schedule(2, lambda: seen.append(engine.now))
 
         engine.schedule(3, outer)
-        engine.run_until_idle()
+        engine.run()
         assert seen == [5]
 
     def test_negative_delay_rejected(self):
         engine = Engine()
         with pytest.raises(SimulationError):
             engine.schedule(-1, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        engine = Engine()
-        seen = []
-        engine.schedule_at(9, lambda: seen.append(engine.now))
-        engine.run_until_idle()
-        assert seen == [9]
 
 
 class TestRunControl:
@@ -74,7 +67,7 @@ class TestRunControl:
         assert seen == ["early"]
         assert engine.now == 10
         assert engine.pending() == 1
-        engine.run_until_idle()
+        engine.run()
         assert seen == ["early", "late"]
 
     def test_event_exactly_at_until_runs(self):
@@ -120,7 +113,7 @@ class TestRunControl:
         engine.tracer = tracer.if_enabled()
         for delay in (1, 2, 3):
             engine.schedule(delay, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         totals = tracer.counter_totals()["engine"]
         assert totals == {"events_dispatched": 3, "runs": 1}
 
@@ -135,7 +128,7 @@ class TestRunControl:
             seen.append(True)
 
         engine.schedule(1, probe)
-        engine.run_until_idle()
+        engine.run()
         assert seen == [True]
         assert engine.pending() == 0
 
@@ -147,7 +140,7 @@ class TestRunControl:
 
         engine.schedule(0, recurse)
         with pytest.raises(SimulationError):
-            engine.run_until_idle()
+            engine.run()
 
     def test_determinism_across_instances(self):
         def trace():
@@ -155,7 +148,7 @@ class TestRunControl:
             log = []
             for delay in (3, 1, 4, 1, 5):
                 engine.schedule(delay, lambda d=delay: log.append((engine.now, d)))
-            engine.run_until_idle()
+            engine.run()
             return log
 
         assert trace() == trace()
@@ -166,7 +159,7 @@ class TestDelayValidation:
         engine = any_engine
         seen = []
         engine.schedule(5.0, lambda: seen.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert seen == [5]
         assert engine.now == 5
 
@@ -196,7 +189,7 @@ class TestOffQueueInvariant:
         engine = any_engine
         seen = []
         engine.schedule(1, lambda: engine.schedule(1, lambda: seen.append("ok")))
-        engine.run_until_idle()
+        engine.run()
         assert seen == ["ok"]
 
 
@@ -213,7 +206,7 @@ class TestFastDispatch:
         engine.schedule(2, first)
         engine.schedule(2, lambda: order.append("second"))
         engine.schedule(3, lambda: order.append("later"))
-        engine.run_until_idle()
+        engine.run()
         assert order == ["first", "second", "nested", "later"]
 
     def test_max_events_mid_batch_leaves_remainder_queued(self):
@@ -238,17 +231,17 @@ class TestFastDispatch:
         engine.schedule(1, boom)
         engine.schedule(1, lambda: seen.append("b"))
         with pytest.raises(RuntimeError):
-            engine.run_until_idle()
+            engine.run()
         assert seen == ["a"]
         assert engine.pending() == 1  # "b" survived the abort
-        engine.run_until_idle()
+        engine.run()
         assert seen == ["a", "b"]
 
     def test_idle_cycles_skipped_counted(self, any_engine):
         engine = any_engine
         engine.schedule(1, lambda: None)
         engine.schedule(1000, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == 1000
         # gap 1 -> 1000 has 998 empty cycles; 0 -> 1 has none.
         assert engine.idle_cycles_skipped == 998
@@ -256,9 +249,9 @@ class TestFastDispatch:
     def test_events_dispatched_accumulates_across_runs(self, any_engine):
         engine = any_engine
         engine.schedule(1, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         engine.schedule(1, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert engine.events_dispatched == 2
 
     def test_fast_and_legacy_produce_identical_traces(self):
@@ -275,7 +268,7 @@ class TestFastDispatch:
             engine.schedule(7, lambda: log.append((engine.now, "seven")))
             for delay in (5, 5, 5):
                 engine.schedule(delay, lambda d=delay: log.append((engine.now, d)))
-            end = engine.run_until_idle()
+            end = engine.run()
             return log, end, engine.events_dispatched, engine.idle_cycles_skipped
 
         assert trace(Engine) == trace(ReferenceEngine)
@@ -288,7 +281,7 @@ class TestFastDispatch:
         assert engine.run(until=100) == 100
         assert seen == ["early"]
         assert engine.now == 100
-        engine.run_until_idle()
+        engine.run()
         assert seen == ["early", "late"]
 
 
@@ -322,7 +315,7 @@ class TestSanitizedScheduleCount:
                     0, lambda: self._two_events(entry_point, engine)
                 )
                 before = sanitizer.checks["engine.schedule"]
-                engine.run_until_idle()
+                engine.run()
                 counts[entry_point] = sanitizer.checks["engine.schedule"] - before
                 assert engine.events_dispatched == 3
         assert counts == {
@@ -356,7 +349,7 @@ class TestRecurringEvent:
 
         event = engine.recurring(2, tick)
         event.schedule()
-        engine.run_until_idle()
+        engine.run()
         assert ticks == [2, 4, 6, 8]
 
     def test_rearm_while_pending_rejected(self, any_engine):
@@ -385,7 +378,7 @@ class TestRecurringEvent:
 
         event = engine.recurring(2, lambda: order.append("recurring"))
         engine.schedule(0, setup)
-        engine.run_until_idle()
+        engine.run()
         assert order == ["recurring", "plain"]
 
 
@@ -400,7 +393,7 @@ class TestRecurringCancel:
             event.cancel()
 
         engine.schedule(0, setup)
-        engine.run_until_idle()
+        engine.run()
         assert ticks == []
         assert not event.pending
 
@@ -418,7 +411,7 @@ class TestRecurringCancel:
             event.schedule()
 
         engine.schedule(0, setup)
-        engine.run_until_idle()
+        engine.run()
         assert ticks == []
 
     def test_cancel_is_idempotent_and_noop_when_idle(self, any_engine):
@@ -440,7 +433,7 @@ class TestRecurringCancel:
             event.schedule()  # fresh entry, also at 3 but a later sequence
 
         engine.schedule(0, setup)
-        engine.run_until_idle()
+        engine.run()
         assert ticks == [3]  # exactly once, from the fresh entry
 
     def test_idle_fast_forward_across_cancelled_recurrence(self, any_engine):
@@ -456,7 +449,7 @@ class TestRecurringCancel:
             engine.schedule(100, lambda: ticks.append(-engine.now))
 
         engine.schedule(0, setup)
-        engine.run_until_idle()
+        engine.run()
         assert ticks == [-100]
         assert engine.now == 100
         # Gaps on both sides of the dead entry were fast-forwarded.
@@ -475,7 +468,7 @@ class TestRecurringCancel:
                 event.schedule()
 
             engine.schedule(0, setup)
-            engine.run_until_idle()
+            engine.run()
             return ticks, engine.events_dispatched, engine.idle_cycles_skipped
 
         assert run(Engine) == run(ReferenceEngine)

@@ -26,8 +26,8 @@ class TestDelayCoercion:
         fired = []
         as_int.schedule(delay, lambda: fired.append(as_int.now))
         as_float.schedule(float(delay), lambda: fired.append(as_float.now))
-        as_int.run_until_idle()
-        as_float.run_until_idle()
+        as_int.run()
+        as_float.run()
         assert fired == [delay, delay]
 
     @settings(max_examples=80, deadline=None)
@@ -70,7 +70,7 @@ class TestDelayCoercion:
             order = []
             for index, delay in enumerate(delays):
                 engine.schedule(delay, lambda d=delay, i=index: order.append((d, i)))
-            engine.run_until_idle()
+            engine.run()
             runs.append(order)
         expected = sorted((d, i) for i, d in enumerate(delays))
         assert runs[0] == expected

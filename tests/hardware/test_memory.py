@@ -7,7 +7,6 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.hardware.ce import GlobalLoads, GlobalStores, SyncInstruction
 from repro.hardware.engine import Engine
-from repro.hardware.machine import CedarMachine
 from repro.hardware.memory import MemoryModule, module_for_address
 from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet, PacketKind
@@ -41,15 +40,15 @@ class TestModuleService:
 
         machine.run_kernel(kernel, num_ces=1)
         assert done["at"] > 0
-        assert machine.global_memory.total_requests_served == 8
+        assert sum(m.requests_served for m in machine.global_memory.modules) == 8
 
     def test_writes_consume_service_without_reply(self, machine):
         def kernel(ce):
             yield GlobalStores(start_address=0, length=4, stride=1)
 
         machine.run_kernel(kernel, num_ces=1)
-        machine.engine.run_until_idle()
-        assert machine.global_memory.total_requests_served == 4
+        machine.engine.run()
+        assert sum(m.requests_served for m in machine.global_memory.modules) == 4
 
     def test_module_busy_accounting(self, machine):
         def kernel(ce):
@@ -91,7 +90,7 @@ class TestServiceTime:
             expected += DEFAULT_CONFIG.sync.operate_cycles
         for served in (1, 2):
             forward.push(Packet(kind, source=served, destination=0, address=0, words=words))
-            engine.run_until_idle()
+            engine.run()
             assert module.requests_served == served
             assert module.busy_cycles == served * expected
 
@@ -102,7 +101,7 @@ class TestServiceTime:
             words=1, request_tag=17, payload="ctl",
         )
         forward.push(request)
-        engine.run_until_idle()
+        engine.run()
         reply = reverse.delivery_queue(6).pop()
         assert reply.kind is PacketKind.READ_REPLY
         assert (reply.source, reply.destination) == (0, 6)
@@ -132,7 +131,10 @@ class TestSyncThroughMemory:
                 yield SyncInstruction(address=99, op=OperateOp.ADD, operand=1)
 
         machine.run_kernel(kernel, num_ces=8)
-        module = machine.global_memory.module_for(99)
+        memory = machine.global_memory
+        module = memory.modules[module_for_address(
+            99, memory.config.num_modules, memory.config.interleave_words
+        )]
         assert module.sync.read(99) == 32  # 8 CEs x 4 increments, none lost
 
     def test_test_and_set_mutual_exclusion(self, machine):

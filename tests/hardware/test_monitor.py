@@ -113,14 +113,6 @@ class TestPerformanceMonitor:
         assert monitor.tracer("a") is monitor.tracer("a")
         assert monitor.histogram("h") is monitor.histogram("h")
 
-    def test_start_stop_all(self):
-        monitor = PerformanceMonitor(DEFAULT_CONFIG.monitor)
-        tracer = monitor.tracer("t")
-        monitor.start_all()
-        assert tracer.armed
-        monitor.stop_all()
-        assert not tracer.armed
-
     def test_tracer_full_flag(self):
         from repro.config import MonitorConfig
 

@@ -7,7 +7,7 @@ from repro.config import DEFAULT_CONFIG, NetworkConfig
 from repro.errors import ConfigurationError
 from repro.hardware.crossbar import CrossbarSwitch, SwitchInputQueue
 from repro.hardware.engine import Engine
-from repro.hardware.network import OmegaNetwork, _digit, _with_digit
+from repro.hardware.network import OmegaNetwork, _digit
 from repro.hardware.packet import Packet, PacketKind
 
 
@@ -22,17 +22,6 @@ def request(source, destination, words=1):
         kind=PacketKind.READ_REQUEST, source=source, destination=destination,
         address=destination, words=words,
     )
-
-
-class TestDigits:
-    @given(st.integers(0, 4095), st.integers(0, 3), st.integers(0, 7))
-    def test_with_digit_roundtrip(self, value, position, digit):
-        rewritten = _with_digit(value, position, 8, digit)
-        assert _digit(rewritten, position, 8) == digit
-        # Other positions untouched.
-        for p in range(4):
-            if p != position:
-                assert _digit(rewritten, p, 8) == _digit(value, p, 8)
 
 
 class TestTopology:
@@ -122,7 +111,7 @@ class TestDelivery:
         received = []
         network.attach_sink(destination, received.append)
         assert network.try_inject(source, request(source, destination))
-        engine.run_until_idle()
+        engine.run()
         assert len(received) == 1
         assert received[0].destination == destination
 
@@ -134,7 +123,7 @@ class TestDelivery:
         for source in range(32):
             destination = (source * 7 + 3) % 32
             assert network.try_inject(source, request(source, destination))
-        engine.run_until_idle()
+        engine.run()
         total = sum(len(v) for v in received.values())
         assert total == 32
         for port, packets in received.items():
@@ -171,7 +160,7 @@ class TestFlowControl:
         woken = []
         network.on_entry_space(0, lambda: woken.append(True))
         network.attach_sink(0, delivered.append)
-        engine.run_until_idle()
+        engine.run()
         assert woken == [True]
         assert len(delivered) == blockers
 
@@ -180,14 +169,14 @@ class TestFlowControl:
         # No sink: packets come to rest in the delivery queue.
         network.try_inject(0, request(0, 0))
         network.try_inject(0, request(0, 0))
-        engine.run_until_idle()
+        engine.run()
         assert network.occupancy_words() == 2
 
     def test_occupancy_zero_after_drain(self):
         engine, network = make_network(32)
         network.attach_sink(0, lambda p: None)
         network.try_inject(0, request(0, 0))
-        engine.run_until_idle()
+        engine.run()
         assert network.occupancy_words() == 0
 
 
@@ -209,7 +198,7 @@ class TestContention:
 
         for s in senders:
             pump(s)
-        engine.run_until_idle()
+        engine.run()
         assert len(received) == 32
         # One output port at one word/cycle: 32 packets need >= 32 cycles.
         assert engine.now >= 32

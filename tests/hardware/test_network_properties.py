@@ -67,12 +67,12 @@ class TestConservation:
                 network.on_entry_space(queue[0].source, pump)
 
         pump()
-        engine.run_until_idle()
+        engine.run()
         # Retry anything still queued (space callbacks fire once per pop).
         guard = 0
         while queue and guard < 10_000:
             pump()
-            engine.run_until_idle()
+            engine.run()
             guard += 1
 
         assert len(received) == len(flows)
@@ -98,5 +98,5 @@ class TestConservation:
                     destination=destination, address=destination, words=words,
                 ),
             )
-        engine.run_until_idle()
+        engine.run()
         assert network.occupancy_words() == 0

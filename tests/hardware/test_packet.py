@@ -17,11 +17,6 @@ def test_negative_ports_rejected():
         Packet(PacketKind.READ_REQUEST, -1, 0, 0)
 
 
-def test_payload_words_excludes_header():
-    packet = Packet(PacketKind.WRITE_REQUEST, 0, 1, 0, words=3)
-    assert packet.payload_words == 2
-
-
 def test_reply_swaps_endpoints_and_keeps_tag():
     request = Packet(
         PacketKind.READ_REQUEST, source=7, destination=13, address=99,

@@ -39,11 +39,7 @@ class TestArmFire:
         _, handle = run_one_prefetch(length=32)
         assert handle.complete
         assert handle.words_arrived == 32
-        assert all(handle.is_available(i) for i in range(32))
-
-    def test_addresses_follow_stride(self):
-        _, handle = run_one_prefetch(length=4, stride=3, start=100)
-        assert [handle.address_of(i) for i in range(4)] == [100, 103, 106, 109]
+        assert None not in handle.arrival_cycles
 
 
 class TestLatencyMetrics:

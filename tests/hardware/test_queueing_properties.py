@@ -179,9 +179,9 @@ class TestGrantAndPopShareOneMaskRule:
                         sink.pop()
                         drained += 1
                 else:
-                    engine.run_until_idle()
+                    engine.run()
                 sanitizer.check_crossbar_masks(switch)
-            engine.run_until_idle()
+            engine.run()
             sanitizer.check_crossbar_masks(switch)
         queued = sum(len(queue) for queue in switch.input_queues)
         buffered = sum(len(sink) for sink in sinks)

@@ -33,14 +33,11 @@ class TestAmbientContext:
                 assert sanitize.current() is inner
             assert sanitize.current() is outer
 
-    def test_env_flag_arms_a_process_global(self):
-        previous = sanitize.set_enabled(True)
-        try:
-            first = sanitize.current()
-            assert first is not None
-            assert sanitize.current() is first  # stable across calls
-        finally:
-            sanitize.set_enabled(previous)
+    def test_env_flag_arms_a_process_global(self, monkeypatch):
+        monkeypatch.setattr(sanitize, "_enabled", True)
+        first = sanitize.current()
+        assert first is not None
+        assert sanitize.current() is first  # stable across calls
 
     def test_components_snapshot_at_construction(self):
         with sanitize.sanitizing():
@@ -195,7 +192,7 @@ class TestFinalize:
                 kind=PacketKind.READ_REQUEST, source=0, destination=3, address=3
             )
             network.try_inject(0, packet)
-            engine.run_until_idle()
+            engine.run()
             # Vaporize the delivered-but-unpopped packet out of its queue.
             queue = network.delivery_queue(3)
             queue._packets.clear()
@@ -218,7 +215,7 @@ class TestFinalize:
                 kind=PacketKind.READ_REQUEST, source=0, destination=3, address=3
             )
             network.try_inject(0, packet)
-            engine.run_until_idle()
+            engine.run()
         sanitizer.finalize()
         assert [p.packet_id for p in received] == [packet.packet_id]
         assert sanitizer.violations == 0

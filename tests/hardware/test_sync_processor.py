@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.hardware.sync_processor import OperateOp, SyncProcessor
 from repro.hardware.sync_processor import TestOp as SyncTestOp
+from repro.trace import Tracer
 
 
 class TestTestAndSet:
@@ -102,7 +103,10 @@ class TestTestAndOperate:
         assert outcome.test_passed == expected
 
     def test_operation_counter(self):
-        sync = SyncProcessor()
+        tracer = Tracer()
+        sync = SyncProcessor(tracer=tracer)
         sync.test_and_set(0)
         sync.test_and_operate(1, SyncTestOp.ALWAYS, 0, OperateOp.ADD, 1)
-        assert sync.operations_executed == 2
+        assert tracer.counter_totals() == {
+            "sync": {"test_and_set": 1, "test_and_operate": 1}
+        }

@@ -80,12 +80,3 @@ class TestVirtualMemory:
         vm = VirtualMemory(DEFAULT_CONFIG.vm, num_clusters=2)
         with pytest.raises(ValueError):
             vm.translate(5, 0)
-
-    def test_cost_cycles_summary(self):
-        vm = VirtualMemory(DEFAULT_CONFIG.vm, num_clusters=2)
-        vm.translate(0, 0)
-        vm.translate(1, 0)
-        stats = vm.stats[1]
-        assert stats.cost_cycles(DEFAULT_CONFIG.vm) == (
-            DEFAULT_CONFIG.vm.tlb_miss_cycles
-        )

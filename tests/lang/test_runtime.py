@@ -1,6 +1,6 @@
 """Tests for the run-time library options."""
 
-from repro.lang.runtime import DEFAULT_OPTIONS, RuntimeOptions, Schedule
+from repro.lang.runtime import DEFAULT_OPTIONS, Schedule
 
 
 def test_defaults_match_automatable_configuration():
@@ -8,21 +8,3 @@ def test_defaults_match_automatable_configuration():
     assert DEFAULT_OPTIONS.use_prefetch
     assert DEFAULT_OPTIONS.schedule is Schedule.SELF
     assert not DEFAULT_OPTIONS.single_cluster
-
-
-def test_without_cedar_sync_is_a_copy():
-    options = DEFAULT_OPTIONS.without_cedar_sync()
-    assert not options.use_cedar_sync
-    assert DEFAULT_OPTIONS.use_cedar_sync  # original untouched
-
-
-def test_without_prefetch_is_a_copy():
-    options = DEFAULT_OPTIONS.without_prefetch()
-    assert not options.use_prefetch
-    assert options.use_cedar_sync
-
-
-def test_option_chaining():
-    options = RuntimeOptions().without_cedar_sync().without_prefetch()
-    assert not options.use_cedar_sync
-    assert not options.use_prefetch

@@ -201,3 +201,20 @@ class TestDisciplineEdges:
             "    merged.update(outputs[key])\n"
         )
         assert not _run(source, "det.dict-merge-order")
+
+
+class TestUnusedImportEdges:
+    SOURCE = "from typing import List\nimport json\nx: List[int] = []\n"
+
+    def _findings(self, path):
+        rule = next(r for r in all_rules() if r.id == "hyg.unused-import")
+        report = analyze_source(self.SOURCE, path, rules=[rule])
+        return [f.message for f in report.findings]
+
+    def test_any_repro_module_is_in_scope(self):
+        assert self._findings("src/repro/cli.py") == [
+            "'json' is imported but never used"
+        ]
+
+    def test_package_init_reexports_are_exempt(self):
+        assert self._findings("src/repro/hardware/__init__.py") == []

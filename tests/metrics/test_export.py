@@ -1,17 +1,10 @@
-"""Tests for the Prometheus/JSONL exporters (repro.metrics.export)."""
-
-import json
+"""Tests for the Prometheus exporter (repro.metrics.export)."""
 
 import pytest
 
 from repro.errors import MetricsError
-from repro.metrics import (
-    MetricsRegistry,
-    jsonl_lines,
-    parse_prometheus,
-    prometheus_text,
-    write_jsonl,
-)
+from repro.metrics import MetricsRegistry, prometheus_text
+from tests.metrics.prometheus_reader import parse_prometheus
 
 
 def populated_registry() -> MetricsRegistry:
@@ -142,24 +135,3 @@ class TestHostileLabelValues:
         samples = parse_prometheus(prometheus_text(registry))
         assert samples['lat_count{cfg=a"\\\nz}'] == 3
         assert samples['lat_sum{cfg=a"\\\nz}'] == 7
-
-
-class TestJsonl:
-    def test_lines_are_self_describing_json(self):
-        registry = populated_registry()
-        records = [json.loads(line) for line in jsonl_lines(registry)]
-        kinds = {(r["kind"], r["name"]) for r in records}
-        assert ("counter", "sim_counter_total") in kinds
-        assert ("gauge", "mflops") in kinds
-        assert ("histogram", "first_word_latency") in kinds
-        histogram = next(r for r in records if r["kind"] == "histogram")
-        assert histogram["count"] == 5
-        assert histogram["buckets"] == {"16": 4, "32": 1}
-
-    def test_write_jsonl(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        count = write_jsonl(populated_registry(), str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == count == 4
-        for line in lines:
-            json.loads(line)

@@ -118,30 +118,16 @@ class TestHistogram:
         with pytest.raises(MetricsError, match="negative"):
             histogram.observe(-1)
 
-    def test_empty_mean_and_quantile_raise(self):
+    def test_empty_mean_raises(self):
         histogram = MetricsRegistry().histogram("latency")
         with pytest.raises(MetricsError, match="empty"):
             histogram.mean()
-        with pytest.raises(MetricsError, match="empty"):
-            histogram.quantile(0.5)
 
-    def test_quantile_is_bucket_upper_bound(self):
-        histogram = MetricsRegistry().histogram("latency")
-        for value in (1, 1, 1, 1, 1, 1, 1, 1, 1, 100):
-            histogram.observe(value)
-        assert histogram.quantile(0.9) == 2.0  # nine of ten in [1, 2)
-        assert histogram.quantile(1.0) == 128.0  # 100 in [64, 128)
-
-    def test_bad_base_and_fraction(self):
+    def test_bad_base_rejected(self):
         with pytest.raises(MetricsError, match="base"):
             from repro.metrics.registry import Histogram
 
             Histogram("h", base=1.0)
-        histogram = MetricsRegistry().histogram("ok")
-        histogram.observe(1)
-        for fraction in (0, -0.1, 1.1):
-            with pytest.raises(MetricsError, match="fraction"):
-                histogram.quantile(fraction)
 
 
 class TestFlatDict:

@@ -1,5 +1,7 @@
 """Tests for the analytic cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CE_CYCLE_SECONDS, DEFAULT_CONFIG
@@ -33,7 +35,7 @@ class TestScheduling:
     def test_fetch_without_cedar_sync_is_multiplied(self, costs):
         with_sync = costs.iteration_fetch_cycles(LoopKind.XDOALL, OPTIONS)
         without = costs.iteration_fetch_cycles(
-            LoopKind.XDOALL, OPTIONS.without_cedar_sync()
+            LoopKind.XDOALL, replace(OPTIONS, use_cedar_sync=False)
         )
         assert without == pytest.approx(
             with_sync * DEFAULT_CONFIG.sync.no_cedar_sync_fetch_multiplier
@@ -42,7 +44,7 @@ class TestScheduling:
     def test_cdoall_fetch_unaffected_by_sync_option(self, costs):
         a = costs.iteration_fetch_cycles(LoopKind.CDOALL, OPTIONS)
         b = costs.iteration_fetch_cycles(
-            LoopKind.CDOALL, OPTIONS.without_cedar_sync()
+            LoopKind.CDOALL, replace(OPTIONS, use_cedar_sync=False)
         )
         assert a == b  # the CCB, not global memory, schedules CDOALLs
 
@@ -91,14 +93,14 @@ class TestMemoryRates:
     def test_disabling_prefetch_lowers_rate(self, costs):
         fast = costs.words_per_cycle(Placement.GLOBAL, 8, OPTIONS, 0.8, 0.1)
         slow = costs.words_per_cycle(
-            Placement.GLOBAL, 8, OPTIONS.without_prefetch(), 0.8, 0.1
+            Placement.GLOBAL, 8, replace(OPTIONS, use_prefetch=False), 0.8, 0.1
         )
         assert slow < fast
 
     def test_cluster_rate_ignores_prefetch(self, costs):
         a = costs.words_per_cycle(Placement.CLUSTER, 8, OPTIONS, 0.8, 0.1)
         b = costs.words_per_cycle(
-            Placement.CLUSTER, 8, OPTIONS.without_prefetch(), 0.8, 0.1
+            Placement.CLUSTER, 8, replace(OPTIONS, use_prefetch=False), 0.8, 0.1
         )
         assert a == b
 
@@ -120,5 +122,5 @@ class TestComputeAndOther:
 
     def test_reduction_cheaper_with_cedar_sync(self, costs):
         fast = costs.reduction_cycles(32, OPTIONS)
-        slow = costs.reduction_cycles(32, OPTIONS.without_cedar_sync())
+        slow = costs.reduction_cycles(32, replace(OPTIONS, use_cedar_sync=False))
         assert slow > fast

@@ -21,10 +21,11 @@ import time
 import pytest
 
 from repro.errors import ServeError, WorkerCrashError
-from repro.metrics import MetricsRegistry, parse_prometheus, prometheus_text
+from repro.metrics import MetricsRegistry, prometheus_text
 from repro.serve import JobRegistry, JobServer, ResultCache, ServeClient
 from repro.serve.jobs import RETAINED_JOBS
 from repro.version import version_fingerprint
+from tests.metrics.prometheus_reader import parse_prometheus
 
 
 class StubExecutor:
@@ -112,6 +113,13 @@ def stub_server(jobs=1, queue_limit=64, trace=None, trace_meta=None):
         jobs=jobs, queue_limit=queue_limit, execute=stub,
     )
     return ServerThread(registry=registry), stub
+
+
+def _samples(client):
+    """``GET /metrics`` over ``client``'s own connection, parsed."""
+    status, _, payload = client._request("GET", "/metrics")
+    assert status == 200
+    return parse_prometheus(payload.decode("utf-8"))
 
 
 def wait_for(predicate, timeout=10):
@@ -267,7 +275,7 @@ class TestHttpBasics:
             with pytest.raises(ServeError) as info:
                 client.result(job_id)
             assert info.value.status == 500
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             assert (
                 samples["serve_jobs_failed_total{experiment=table2}"] == 1
             )
@@ -356,7 +364,7 @@ class TestTraceTelemetry:
             health = client.healthz()
             assert "trace_overhead_ratio" not in health
             assert health["trace_buffer_bytes"] == 4096
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             # The gauge accumulates held wire bytes across resolved jobs.
             assert samples["serve_trace_buffer_bytes"] == 2 * len(
                 _stub_trace_bytes()
@@ -413,7 +421,7 @@ class TestEviction:
 
             assert len(client.jobs()) == RETAINED_JOBS
             assert client.healthz()["jobs"] == RETAINED_JOBS
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             assert samples["serve_jobs_evicted_total"] == 1
             assert samples["serve_jobs_retained"] == RETAINED_JOBS
             again = client.submit("table2")
@@ -424,7 +432,7 @@ class TestEviction:
     def test_retention_metrics_are_registered_at_zero(self):
         server, _ = stub_server()
         with server:
-            samples = parse_prometheus(server.client.metrics_text())
+            samples = _samples(server.client)
             assert samples["serve_jobs_retained"] == 0
             assert samples["serve_jobs_evicted_total"] == 0
 
@@ -443,7 +451,7 @@ class TestEviction:
             client.wait(other, timeout=10)
 
             def gauge():
-                return parse_prometheus(client.metrics_text())[
+                return _samples(client)[
                     "serve_trace_buffer_bytes"
                 ]
 
@@ -538,7 +546,7 @@ class TestPhasesAndCacheWrites:
             assert warm["source"] == "cache"
             assert "phases_ms" not in warm
             assert "phases_ms" not in client.job(warm["id"])
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             for phase in phases:
                 assert samples[f"serve_job_phase_ms_count{{phase={phase}}}"] == 1
             assert samples["serve_cache_write_errors_total"] == 0
@@ -564,7 +572,7 @@ class TestPhasesAndCacheWrites:
             assert client.wait(other, timeout=10)["state"] == "done"
             assert client.submit("table5")["job"]["source"] == "cache"
             assert len(stub.calls) == 2
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             assert samples["serve_cache_write_errors_total"] == 1
 
 
@@ -596,7 +604,7 @@ class TestCoalescingAcceptance:
 
             assert len(stub.calls) == 1  # exactly one simulation ran
             assert len(bodies) == 1  # and everyone got its bytes
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             assert samples["serve_coalesced_requests_total"] == concurrency - 1
             assert samples["serve_cache_misses_total"] == 1
             assert (
@@ -641,7 +649,7 @@ class TestRealSimulation:
                 "partitions": 1, "sanitize": False, "spec": None,
             }
 
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             assert samples["serve_cache_hits_total"] == 1
             assert samples["serve_cache_misses_total"] == 1
             assert samples["serve_job_latency_ms_count"] == 2
@@ -672,7 +680,7 @@ class TestRealSimulation:
 
 
 def _connections_total(client):
-    return parse_prometheus(client.metrics_text())["serve_connections_total"]
+    return _samples(client)["serve_connections_total"]
 
 
 def _raw_exchange(port, request):
@@ -706,7 +714,7 @@ class TestPersistentConnections:
             assert samples["serve_connections_total"] == 0
             assert samples["serve_connections_open"] == 0
             client = server.client
-            samples = parse_prometheus(client.metrics_text())
+            samples = _samples(client)
             # The scrape itself arrives on the first connection.
             assert samples["serve_connections_total"] == 1
             assert samples["serve_connections_open"] == 1

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -299,11 +297,8 @@ class TestRunSanitize:
         monkeypatch.setenv("CEDAR_SANITIZE", "1")
         from repro.hardware import sanitize as sanitize_mod
 
-        previous = sanitize_mod.set_enabled(True)
-        try:
-            assert main(["run", "table6"]) == 0
-        finally:
-            sanitize_mod.set_enabled(previous)
+        monkeypatch.setattr(sanitize_mod, "_enabled", True)
+        assert main(["run", "table6"]) == 0
         assert "sanitizer:" in capsys.readouterr().out
 
     def test_parallel_sanitized_matches_sequential(self, monkeypatch, capsys):

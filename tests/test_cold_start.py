@@ -6,13 +6,16 @@ never about how long loading takes.  The lazy package tables and the
 examples are checked here too, because a lazy re-export that names a
 moved or renamed function fails only when somebody touches it.  So is
 reachability: every module under ``src/repro`` must be reachable from
-``repro.cli``, the ``cedar-repro`` entry point, or be deleted.
+``repro.cli``, the ``cedar-repro`` entry point, or be deleted; and below
+the module, every definition must be called, every ``self`` attribute
+read and every ``config.py`` field read by code a user path runs.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +58,21 @@ UNREACHABLE_ALLOWED = {
         "ROADMAP item 10 makes the analytic tables read it"
     ),
 }
+
+#: Definitions no user path calls, each with the reason it stays.
+UNCALLED_ALLOWED = {
+    "repro.hardware.queueing.BoundedWordQueue.wait_for_space": (
+        "the per-waiter wake-up path of the reference crossbar oracle "
+        "(tests/hardware/reference_crossbar.py)"
+    ),
+    "repro.model.calibration.calibrate_prefetch_curve": (
+        "UNREACHABLE_ALLOWED's calibration entry point; ROADMAP item 10"
+    ),
+}
+
+#: Trees whose whole text counts as user code for the definition walk:
+#: the examples, the benchmark harness and the paper-claim benchmarks.
+WALK_ROOTS = ("examples", "perfbench", "benchmarks")
 
 
 def _fresh_modules(code: str) -> list:
@@ -237,6 +255,120 @@ def _reachable(modules: dict) -> set:
     return seen
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: Assignments whose strings list names without loading them.
+_NOT_LOADS = {"__all__", "__slots__"}
+
+
+def _body(node) -> list:
+    """``node``'s statements without its docstring."""
+    body = node.body
+    first = body[0].value if body and isinstance(body[0], ast.Expr) else None
+    if isinstance(first, ast.Constant) and isinstance(first.value, str):
+        return body[1:]
+    return body
+
+
+def _header(node) -> list:
+    """What runs where ``node`` is defined: decorators, bases, defaults."""
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords
+    return node.decorator_list + [node.args] + ([node.returns] if node.returns else [])
+
+
+class _Walk:
+    """One fixpoint over names, from the module level and the root trees.
+
+    ``loads`` holds every name reached code loads: a ``Name``, an
+    ``Attribute`` or an identifier inside a non-docstring string (which
+    covers ``getattr`` and registries).  ``reads`` is the part that can
+    read an attribute: ``Attribute`` loads and string identifiers, not a
+    bare local such as the parameter ``x`` in ``self.x = x``.  An import
+    binding, an ``__all__``/``__slots__`` entry or a lazy export table
+    loads nothing.  ``pending`` holds the definitions whose enclosing code
+    ran but whose name nothing loads yet; ``stores`` maps
+    ``module.Class.attr`` of every ``self.attr`` store in a reached method
+    to its line.
+    """
+
+    def __init__(self, modules: dict) -> None:
+        self.loads: set = set()
+        self.reads: set = set()
+        self.stores: dict = {}
+        self.pending: list = []
+        self.reached: set = set()
+        for root in WALK_ROOTS:
+            for path in sorted((ROOT / root).rglob("*.py")):
+                tree = ast.parse(path.read_text(), filename=str(path))
+                self._scan(_body(tree), root, "root")
+        for name, tree in modules.items():
+            self._scan(_body(tree), name, "module")
+        while True:
+            ready = [entry for entry in self.pending if self._is_reached(*entry)]
+            if not ready:
+                break
+            self.pending = [entry for entry in self.pending if entry not in ready]
+            for owner, _, node in ready:
+                qualname = f"{owner}.{node.name}"
+                self.reached.add(qualname)
+                kind = "class" if isinstance(node, ast.ClassDef) else "def"
+                self._scan(_body(node), qualname, kind)
+
+    @property
+    def uncalled(self) -> set:
+        return {f"{owner}.{node.name}" for owner, _, node in self.pending}
+
+    def _is_reached(self, owner: str, kind: str, node) -> bool:
+        if kind == "class" and node.name.startswith("__") and node.name.endswith("__"):
+            return True  # a reached class's dunders run implicitly
+        if any(getattr(d, "id", None) == "register" for d in node.decorator_list):
+            return True
+        return node.name in self.loads
+
+    def _scan(self, nodes: list, owner: str, kind: str) -> None:
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _DEFS):
+                stack.extend(_header(node))
+                if kind == "root":
+                    stack.extend(_body(node))
+                else:
+                    self.pending.append((owner, kind, node))
+                continue
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) in _NOT_LOADS for target in node.targets
+            ):
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+                node = node.func
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                self.loads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    self.loads.add(node.attr)
+                    self.reads.add(node.attr)
+                elif kind == "def" and getattr(node.value, "id", None) == "self":
+                    key = f"{owner.rsplit('.', 1)[0]}.{node.attr}"
+                    self.stores.setdefault(key, node.lineno)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                identifiers = _IDENTIFIER.findall(node.value)
+                self.loads.update(identifiers)
+                self.reads.update(identifiers)
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _config_fields(tree) -> list:
+    """``Class.field`` of every annotated class attribute in ``config.py``."""
+    return [
+        f"{klass.name}.{stmt.target.id}"
+        for klass in tree.body if isinstance(klass, ast.ClassDef)
+        for stmt in klass.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
 class TestReachability:
     @pytest.fixture(scope="class")
     def modules(self):
@@ -254,3 +386,37 @@ class TestReachability:
         assert UNREACHABLE_ALLOWED[module], "an entry needs its reason"
         assert module in modules, f"{module} no longer exists"
         assert module not in _reachable(modules), f"{module} is reachable now"
+
+    @pytest.fixture(scope="class")
+    def walk(self, modules):
+        return _Walk(modules)
+
+    def test_every_definition_is_called(self, walk):
+        uncalled = walk.uncalled - set(UNCALLED_ALLOWED)
+        assert not uncalled, (
+            f"no user path calls {', '.join(sorted(uncalled))}: call them, "
+            "move them to tests/, or delete them"
+        )
+
+    def test_every_self_attribute_is_read(self, walk):
+        unread = sorted(
+            f"{key} (line {line})" for key, line in walk.stores.items()
+            if key.rsplit(".", 1)[1] not in walk.reads
+        )
+        assert not unread, f"stored but never read: {', '.join(unread)}"
+
+    def test_every_config_field_is_read(self, modules, walk):
+        unread = [
+            field for field in _config_fields(modules["repro.config"])
+            if field.split(".")[1] not in walk.reads
+        ]
+        assert not unread, (
+            f"config fields nothing reads: {', '.join(unread)}; a knob that "
+            "changes nothing belongs in its dataclass docstring"
+        )
+
+    @pytest.mark.parametrize("definition", sorted(UNCALLED_ALLOWED))
+    def test_allowed_definition_is_not_stale(self, walk, definition):
+        assert UNCALLED_ALLOWED[definition], "an entry needs its reason"
+        assert definition not in walk.reached, f"{definition} is called now"
+        assert definition in walk.uncalled, f"{definition} no longer exists"

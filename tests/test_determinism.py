@@ -176,7 +176,7 @@ def _fuzz_network_run(seed, engine_class=Engine):
                 engine.schedule(1, pump)
 
         engine.schedule(0, pump)
-        engine.run_until_idle()
+        engine.run()
     sanitizer.finalize()
     assert sanitizer.violations == 0
     assert len(deliveries) == len(flows)
@@ -217,8 +217,8 @@ def _reentrant_injection_run():
             name="reenter", tracer=tracer,
         )
         switch = network.stages[0][0]
-        assert network.entry_queue(0) in switch.input_queues
-        assert network.entry_queue(4) in switch.input_queues
+        assert network._entry_queues[0] in switch.input_queues
+        assert network._entry_queues[4] in switch.input_queues
         deliveries = []
         for port in range(16):
             network.attach_sink(
@@ -263,11 +263,11 @@ def _reentrant_injection_run():
                 engine.schedule(1, pump)
 
         engine.schedule(0, pump)
-        engine.run_until_idle()
+        engine.run()
         while side:  # leftovers the waiters could not place
             if network.try_inject(4, side[0]):
                 side.pop(0)
-            engine.run_until_idle()
+            engine.run()
     sanitizer.finalize()
     assert sanitizer.violations == 0
     assert len(deliveries) == 72

@@ -1,11 +1,11 @@
-"""Tests for the Xylem file system, memory manager, and kernel facade."""
+"""Tests for the Xylem file system and memory manager."""
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.errors import SimulationError
 from repro.lang.placement import Placement
-from repro.xylem import FileSystem, IORequest, MemoryManager, XylemKernel
+from repro.xylem import FileSystem, IORequest, MemoryManager
 
 
 class TestFileSystem:
@@ -23,11 +23,10 @@ class TestFileSystem:
 
     def test_transfer_accounting(self):
         fs = FileSystem()
-        fs.transfer(IORequest(1e6))
+        assert fs.transfer(IORequest(1e6)) > 0
         fs.transfer(IORequest(2e6, formatted=True))
-        assert fs.total_bytes == pytest.approx(3e6)
+        assert sum(r.byte_count for r in fs.requests) == pytest.approx(3e6)
         assert len(fs.requests) == 2
-        assert fs.total_seconds > 0
 
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
@@ -48,8 +47,8 @@ class TestMemoryManager:
         manager = MemoryManager()
         cluster_seg = manager.allocate("local", 1000, Placement.CLUSTER)
         global_seg = manager.allocate("shared", 1000, Placement.GLOBAL)
-        assert not manager.is_global_address(cluster_seg.start_word)
-        assert manager.is_global_address(global_seg.start_word)
+        assert cluster_seg.start_word < manager._global_base
+        assert global_seg.start_word >= manager._global_base
 
     def test_duplicate_name_rejected(self):
         manager = MemoryManager()
@@ -71,32 +70,9 @@ class TestMemoryManager:
         # one-cluster version".
         assert ratio == pytest.approx(DEFAULT_CONFIG.num_clusters, rel=0.05)
 
-    def test_fault_seconds_accumulate(self):
+    def test_faults_accumulate_per_cluster(self):
         manager = MemoryManager()
         manager.allocate("seg", 10 * manager.vm.page_words)
-        manager.touch(0, "seg")
-        assert manager.fault_seconds(0) > 0
-        assert manager.fault_seconds(1) == 0
-
-
-class TestKernelFacade:
-    def test_job_accounting(self):
-        kernel = XylemKernel()
-        kernel.memory.allocate(
-            "arrays", 20 * kernel.memory.vm.page_words, Placement.GLOBAL
-        )
-        report = kernel.run_job(
-            "trfd",
-            compute_seconds=10.0,
-            clusters=4,
-            io_requests=[IORequest(1e6)],
-            touched_segments=["arrays"],
-        )
-        assert report.task.state.value == "complete"
-        assert report.io_seconds > 0
-        assert report.vm_seconds > 0
-        assert report.total_seconds > 10.0
-
-    def test_single_user_default(self):
-        kernel = XylemKernel()
-        assert kernel.scheduler.single_user
+        assert manager.touch(0, "seg") > 0
+        assert manager.vm.stats[0].page_faults > 0
+        assert manager.vm.stats[1].page_faults == 0
