@@ -30,8 +30,9 @@ Usage::
                                      # same artifact, plus machine-wide
                                      # instrumentation (Chrome trace JSON
                                      # and a utilization report)
-    cedar-repro bench                # full suite -> BENCH_<n>.json snapshot
-                                     # + regression report vs the previous one
+    cedar-repro bench                # full suite -> BENCH_<n>.json snapshot,
+                                     # the paper's claims checked, and a
+                                     # regression report vs the previous one
     cedar-repro bench --quick        # sub-minute subset (CI gate)
     cedar-repro lint src            # static determinism/discipline
                                      # analysis; exit 1 on any finding
@@ -59,7 +60,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import BenchError, LintError, WorkerCrashError
 from repro.experiments.registry import EXPERIMENTS, QUICK_EXPERIMENTS
-from repro.metrics.headline import DEFAULT_TOLERANCES
 
 # Each subcommand imports what it runs inside its handler, so `--help`,
 # `list` or one `run` loads no other command's modules (DESIGN.md,
@@ -214,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="run the experiment suite into a BENCH_<n>.json snapshot and "
-        "compare against the previous snapshot",
+        help="run the experiment suite into a BENCH_<n>.json snapshot, check "
+        "the paper's claims and compare against the previous snapshot",
     )
     bench.add_argument(
         "experiments",
@@ -246,22 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="baseline snapshot to diff against (default: latest BENCH_* "
         "in --dir; 'none' skips the comparison)",
-    )
-    bench.add_argument(
-        "--fidelity-tolerance",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="relative tolerance before fidelity drift hard-fails "
-        f"(default {DEFAULT_TOLERANCES['fidelity']:g})",
-    )
-    bench.add_argument(
-        "--machine-tolerance",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="relative tolerance for simulated-machine metrics "
-        f"(default {DEFAULT_TOLERANCES['machine']:g})",
     )
     bench.add_argument(
         "--jobs",
@@ -728,12 +712,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if key not in EXPERIMENTS:
             return _unknown_experiment(key)
 
-    tolerances = {}
-    if args.fidelity_tolerance is not None:
-        tolerances["fidelity"] = args.fidelity_tolerance
-    if args.machine_tolerance is not None:
-        tolerances["machine"] = args.machine_tolerance
-
     try:
         baseline = None
         if args.baseline != "none":
@@ -754,7 +732,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         def progress(key: str) -> None:
             print(f"benching {key} ...", file=sys.stderr)
 
-        snapshot = bench_mod.build_snapshot(
+        snapshot, claims = bench_mod.build_snapshot(
             keys, index, progress=progress, jobs=max(1, args.jobs)
         )
         bench_mod.save_snapshot(snapshot, out_path)
@@ -762,9 +740,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 2
     print(f"wrote snapshot {index} ({len(keys)} experiment(s)) to {out_path}")
-    if baseline is None:
-        return 0
-    report = bench_mod.compare_snapshots(baseline, snapshot, tolerances)
+    report = bench_mod.compare_snapshots(baseline, snapshot, claims)
     print(report.render())
     return 0 if report.ok else 1
 

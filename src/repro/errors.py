@@ -37,11 +37,12 @@ class SimulationError(CedarError):
 class SanitizerError(SimulationError):
     """A hardware invariant checked by the runtime sanitizer was violated.
 
-    Structured so tooling can triage without parsing the message: the
-    invariant class (``network.conservation``, ``queue.capacity``, ...),
-    the component that broke it, the simulation cycle when known, a
-    free-form details dict, and the trace-bus span context (the names of
-    the spans open on the machine when the violation fired).
+    The message leads with the invariant class in brackets
+    (``[network.conservation]``, ``[queue.capacity]``, ...).  The error
+    also carries, structured, the component that broke it, the simulation
+    cycle when known, a free-form details dict, and the trace-bus span
+    context (the names of the spans open on the machine when the violation
+    fired).
     """
 
     def __init__(
@@ -53,7 +54,6 @@ class SanitizerError(SimulationError):
         details=None,
         span_context=None,
     ) -> None:
-        self.invariant = invariant
         self.component = component
         self.cycle = cycle
         self.details = dict(details or {})

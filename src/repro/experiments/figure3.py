@@ -83,6 +83,25 @@ def headline_metrics(result: Figure3Result) -> List[HeadlineMetric]:
     ]
 
 
+def claims(result: Figure3Result) -> Dict[str, bool]:
+    """The paper's reading of Figure 3, band by band."""
+    cedar, ymp = result.cedar_census, result.ymp_census
+    return {
+        'Figure 3: Cedar has no unacceptable code ("Cedar has none")':
+            cedar.unacceptable == 0,
+        'Figure 3: Cedar has 3-5 high codes ("about one-quarter high")':
+            3 <= cedar.high <= 5,
+        "Figure 3: Cedar has >= 8 intermediate codes "
+        '("three-quarters intermediate")': cedar.intermediate >= 8,
+        'Figure 3: Y-MP/8 has 6 high codes ("about half high")':
+            ymp.high == 6,
+        "Figure 3: Y-MP/8 has 6 intermediate codes "
+        '("half intermediate")': ymp.intermediate == 6,
+        'Figure 3: Y-MP/8 has 1 unacceptable code ("one unacceptable")':
+            ymp.unacceptable == 1,
+    }
+
+
 def render(result: Figure3Result) -> str:
     plot = efficiency_scatter(
         x_efficiencies=result.ymp_efficiencies,

@@ -154,8 +154,6 @@ def headline_metrics(study: PPT4Study) -> List[HeadlineMetric]:
     MFLOPS quote as informational targets (the simulator runs ~30% optimistic,
     see EXPERIMENTS.md); the CM-5 ranges and the no-unacceptable count are
     reproduced inside the quoted bounds."""
-    from repro.core.bands import Band
-
     low, high = study.cedar_mflops_at_32
     unacceptable = sum(
         1 for p in study.cedar.points if p.band is Band.UNACCEPTABLE
@@ -212,6 +210,52 @@ def headline_metrics(study: PPT4Study) -> List[HeadlineMetric]:
             )
         )
     return metrics
+
+
+def claims(study: PPT4Study) -> Dict[str, bool]:
+    """PPT4 on both machines: Cedar CG is scalable and high above a
+    10K-16K crossover, intermediate below, never unacceptable, at 34-48
+    MFLOPS on 32 CEs; the CM-5 is scalable intermediate at its quoted
+    rates."""
+    points = study.cedar.points
+    at_32 = {p.problem_size: p for p in points if p.processors == 32}
+    low, high = study.cedar_mflops_at_32
+    cm5_rates = {
+        bandwidth: [p.mflops for p in result.points_at(32)]
+        for bandwidth, result in study.cm5.items()
+    }
+    return {
+        "PPT4: the Cedar CG study has points": bool(points),
+        'PPT4: no Cedar CG point is unacceptable ("No unacceptable '
+        'performance was observed")':
+            all(p.band is not Band.UNACCEPTABLE for p in points),
+        "PPT4: every Cedar CG point with N >= 16K is high":
+            all(p.band is Band.HIGH for p in points if p.problem_size >= 16_384),
+        "PPT4: Cedar CG at P=32, N=16K is high (crossover between 10K "
+        "and 16K)": at_32[16_384].band is Band.HIGH,
+        "PPT4: Cedar CG efficiency at P=32 is lower at the smallest N "
+        "than at 16K": at_32[min(at_32)].efficiency < at_32[16_384].efficiency,
+        "PPT4: Cedar CG is scalable at P = 8, 16 and 32 for N >= 4K":
+            study.cedar.scalable_processor_counts(min_problem_size=4_096)
+            == [8, 16, 32],
+        "PPT4: Cedar CG rate at P=32 grows with N (paper 34 -> 48 MFLOPS)":
+            high > low,
+        "PPT4: Cedar CG minimum rate at P=32 in [30, 75] MFLOPS (paper 34)":
+            30.0 <= low <= 75.0,
+        "PPT4: Cedar CG maximum rate at P=32 in [40, 85] MFLOPS (paper 48)":
+            40.0 <= high <= 85.0,
+        "PPT4: CM-5 BW=3 rates at 32 nodes in [27, 33] MFLOPS (paper 28-32)":
+            min(cm5_rates[3]) >= 27.0 and max(cm5_rates[3]) <= 33.0,
+        "PPT4: CM-5 BW=11 rates at 32 nodes in [57, 68] MFLOPS (paper 58-67)":
+            min(cm5_rates[11]) >= 57.0 and max(cm5_rates[11]) <= 68.0,
+        "PPT4: every CM-5 point is intermediate (\"scalable intermediate "
+        'performance")': all(
+            p.band is Band.INTERMEDIATE
+            for result in study.cm5.values() for p in result.points
+        ),
+        "PPT4: CM-5 BW=11 MFLOPS per node at 32 nodes, N=16K, in [1, 3] "
+        "(roughly Cedar's)": 1.0 <= cm5_rates[11][0] / 32 <= 3.0,
+    }
 
 
 def render(study: PPT4Study) -> str:

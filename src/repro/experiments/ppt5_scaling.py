@@ -19,7 +19,7 @@ the design rescales, which is the PPT5 answer the Cedar group expected.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import CedarConfig, DEFAULT_CONFIG
 from repro.core.report import format_table
@@ -130,6 +130,25 @@ def headline_metrics(study: PPT5Study) -> List[HeadlineMetric]:
             )
         )
     return metrics
+
+
+def claims(study: PPT5Study) -> Dict[str, bool]:
+    """The deferred PPT5 study at 4, 8 and 16 clusters."""
+    by_clusters = {p.clusters: p for p in study.points}
+    return {
+        "PPT5: 4 clusters (32 CEs) need 2 switch stages":
+            by_clusters[4].network_stages == 2,
+        "PPT5: 8 clusters (64 CEs) still fit in 2 switch stages":
+            by_clusters[8].network_stages == 2,
+        "PPT5: 16 clusters (128 CEs) need a third switch stage":
+            by_clusters[16].network_stages == 3,
+        "PPT5: per-CE stream rate at the largest scale >= 0.5 of as-built":
+            study.rate_retention() >= 0.5,
+        "PPT5: the design passes PPT5": study.passed,
+        "PPT5: the third stage costs latency (16-cluster latency >= "
+        "8-cluster latency - 2)":
+            by_clusters[16].latency >= by_clusters[8].latency - 2.0,
+    }
 
 
 def render(study: PPT5Study) -> str:

@@ -3,7 +3,9 @@
 Each entry also declares the experiment's *headline metrics* -- the
 numbers that are the table or figure, paired with the paper-quoted targets
 where the scan is legible -- which `cedar-repro bench` snapshots as the
-fidelity section of ``BENCH_<n>.json``.
+fidelity section of ``BENCH_<n>.json``, and its *claims*: the paper's
+shape statements (orderings, bounds, band counts), each of which `bench`
+checks on every run.
 
 The registry names each driver module and imports it on first use, so
 listing the experiments, or running one of them, loads no other driver.
@@ -22,6 +24,10 @@ def _no_headline(result: object) -> List[HeadlineMetric]:
     return []
 
 
+def _no_claims(result: object) -> Dict[str, bool]:
+    return {}
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One regenerable artifact of the paper."""
@@ -33,6 +39,9 @@ class Experiment:
     #: Maps a run's result to its declared headline metrics (paper targets
     #: included); the bench harness snapshots these for fidelity tracking.
     headline: Callable[[object], List[HeadlineMetric]] = _no_headline
+    #: Maps a run's result to ``{claim text: whether it holds}``, each text
+    #: naming its paper provenance; `cedar-repro bench` fails on a false one.
+    claims: Callable[[object], Dict[str, bool]] = _no_claims
     #: Whether the driver is cheap enough for `cedar-repro bench --quick`
     #: (analytic model or sub-minute cycle simulation).
     quick: bool = False
@@ -76,6 +85,7 @@ def _driver(
         function("run"),
         function("render"),
         function("headline_metrics"),
+        function("claims"),
         quick=quick,
         module=path,
         **{name: function(name) for name in parts},

@@ -9,7 +9,7 @@ columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler import CedarRestructurer, KapCompiler
 from repro.compiler.ir import (
@@ -181,6 +181,30 @@ def headline_metrics(result: RestructuringResult) -> List[HeadlineMetric]:
             note=f"Section 3.3 gallery, automatable pipeline ({total} nests)",
         ),
     ]
+
+
+#: The Section 3.3 transformations the gallery must see applied.
+PASSES = (
+    "privatization", "reductions", "induction", "runtime-dependence-test",
+    "balanced-stripmine", "prefetch-insertion",
+)
+
+
+def claims(result: RestructuringResult) -> Dict[str, bool]:
+    """KAP-1988 parallelizes only the dependence-free loop; the automatable
+    pipeline everything but the true recurrence, with every named pass."""
+    transforms = " ".join(t for _, _, _, t in result.rows)
+    outcome = {
+        "Section 3.3: KAP-1988 parallelizes exactly 1 nest":
+            result.kap_count() == 1,
+        "Section 3.3: the automatable pipeline parallelizes every nest "
+        "but the recurrence": result.automatable_count() == len(result.rows) - 1,
+    }
+    for name in PASSES:
+        outcome[f"Section 3.3: the automatable pipeline applies {name}"] = (
+            name in transforms
+        )
+    return outcome
 
 
 def render(result: RestructuringResult) -> str:

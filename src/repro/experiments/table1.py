@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import CedarConfig
+from repro.config import DEFAULT_CONFIG, CedarConfig
 from repro.core.report import format_table
 from repro.kernels.rank_update import RankUpdateVersion, measure_rank_update
 from repro.metrics.headline import HeadlineMetric, slugify
@@ -80,6 +80,33 @@ def headline_metrics(result: Table1Result) -> List[HeadlineMetric]:
                 )
             )
     return metrics
+
+
+def claims(result: Table1Result) -> Dict[str, bool]:
+    """Table 1's shape: prefetch's gain over the latency-bound version
+    shrinks from ~3.5x at one cluster toward ~2x at four; the cache version
+    scales near-linearly to ~75% of the 274 MFLOPS effective peak."""
+    no_pref, pref, cache = (result.mflops[version] for version in RankUpdateVersion)
+    gain = [p / n for p, n in zip(pref, no_pref)]
+    peak_fraction = cache[3] / DEFAULT_CONFIG.effective_peak_mflops
+    return {
+        "Table 1: GM/no-pref at 1 cluster in [10, 18] MFLOPS (paper 14.5)":
+            10.0 <= no_pref[0] <= 18.0,
+        "Table 1: GM/no-pref at 4 clusters in [42, 62] MFLOPS (paper 55)":
+            42.0 <= no_pref[3] <= 62.0,
+        "Table 1: prefetch gain over GM/no-pref shrinks from 1 to 4 clusters":
+            gain[0] > gain[3],
+        "Table 1: prefetch gain at 1 cluster >= 2.5x (paper ~3.5x)":
+            gain[0] >= 2.5,
+        "Table 1: prefetch gain at 4 clusters >= 1.5x (paper ~2x)":
+            gain[3] >= 1.5,
+        "Table 1: GM/cache beats GM/pref at 2, 3 and 4 clusters":
+            all(c > p for p, c in zip(pref[1:], cache[1:])),
+        "Table 1: GM/cache 4-cluster over 1-cluster rate within 12% of 4x":
+            abs(cache[3] / cache[0] - 4.0) <= 0.12 * 4.0,
+        "Table 1: GM/cache at 4 clusters is 60-90% of the effective peak "
+        "(paper ~75% of 274 MFLOPS)": 0.6 <= peak_fraction <= 0.9,
+    }
 
 
 def render(result: Table1Result) -> str:

@@ -126,6 +126,34 @@ def headline_metrics(result: Table2Result) -> List[HeadlineMetric]:
     return metrics
 
 
+def claims(result: Table2Result) -> Dict[str, bool]:
+    """Table 2's shape: near-minimal at one cluster, degrading with CE
+    count; RK degrades fastest; the register-register TM beats VL."""
+    outcome = {}
+    for kernel in KERNELS:
+        latency = result.latency_series(kernel)
+        inter = result.interarrival_series(kernel)
+        outcome.update({
+            f"Table 2: {kernel} latency at 8 CEs <= 14 cycles (minimum 8)":
+                latency[0] <= 14.0,
+            f"Table 2: {kernel} interarrival at 8 CEs <= 1.8 cycles "
+            "(minimum 1)": inter[0] <= 1.8,
+            f"Table 2: {kernel} latency grows from 8 to 32 CEs":
+                latency[2] > latency[0],
+            f"Table 2: {kernel} interarrival grows from 8 to 32 CEs":
+                inter[2] > inter[0],
+        })
+    at_32 = {kernel: result.interarrival_series(kernel)[2] for kernel in KERNELS}
+    for gentler in ("TM", "CG"):
+        outcome[f"Table 2: RK interarrival at 32 CEs >= {gentler}'s"] = (
+            at_32["RK"] >= at_32[gentler]
+        )
+    outcome["Table 2: TM interarrival at 32 CEs <= VL's + 0.5"] = (
+        at_32["TM"] <= at_32["VL"] + 0.5
+    )
+    return outcome
+
+
 def render(result: Table2Result) -> str:
     rows = []
     for kernel in KERNELS:

@@ -78,6 +78,35 @@ def headline_metrics(result: Table3Result) -> List[HeadlineMetric]:
     return metrics
 
 
+def claims(result: Table3Result) -> Dict[str, bool]:
+    """Table 3's ladder: the automatable improvements track the paper's,
+    KAP never beats them, and KAP alone is "very limited"."""
+    from repro.perfect.targets import TARGETS  # only claims read the targets
+
+    outcome = {}
+    for code in code_names():
+        versions = result.grid[code]
+        auto = versions[Version.AUTOMATABLE].improvement
+        target = TARGETS[code].auto_improvement
+        outcome[
+            f"Table 3: {code} automatable improvement within 25% of {target:g}x"
+        ] = abs(auto - target) <= 0.25 * abs(target)
+        outcome[f"Table 3: {code} KAP improvement <= automatable"] = (
+            versions[Version.KAP].improvement <= auto + 1e-9
+        )
+    limited = sum(
+        1 for code in code_names()
+        if result.grid[code][Version.KAP].improvement < 1.5
+    )
+    outcome[
+        'Table 3: >= 8 of 13 KAP improvements below 1.5x ("very limited")'
+    ] = limited >= 8
+    outcome["Table 3: Y-MP/8 over Cedar harmonic-mean MFLOPS > 2 (paper 7.4)"] = (
+        result.ymp_ratio() > 2.0
+    )
+    return outcome
+
+
 def render(result: Table3Result) -> str:
     rows = []
     ymp = CRAY_YMP8.mflops_ensemble()

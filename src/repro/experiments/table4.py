@@ -4,7 +4,7 @@ improvement over automatable-with-prefetch-without-Cedar-synchronization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.report import format_table
 from repro.metrics.headline import HeadlineMetric
@@ -72,6 +72,34 @@ def headline_metrics(result: Table4Result) -> List[HeadlineMetric]:
             )
         )
     return metrics
+
+
+#: Paper Table 4 values the claims hold each row to, with the relative
+#: tolerance of each: (seconds, rel) and (improvement, rel).
+CLAIMED_SECONDS = {
+    "ARC3D": (68.0, 0.2), "BDNA": (70.0, 0.15), "DYFESM": (31.0, 0.2),
+    "FLO52": (33.0, 0.2), "QCD": (21.0, 0.15), "SPICE": (26.0, 0.2),
+    "TRFD": (7.5, 0.15),
+}
+CLAIMED_IMPROVEMENTS = {
+    "QCD": (11.4, 0.15), "TRFD": (2.8, 0.15), "ARC3D": (2.1, 0.15),
+    "BDNA": (1.7, 0.15),
+}
+
+
+def claims(result: Table4Result) -> Dict[str, bool]:
+    """Hand-optimized times and improvements near the paper's."""
+    by_code = {row.code: row for row in result.rows}
+    outcome = {}
+    for label, claimed, value in (
+        ("time", CLAIMED_SECONDS, lambda row: row.hand_seconds),
+        ("improvement", CLAIMED_IMPROVEMENTS, lambda row: row.improvement),
+    ):
+        for code, (paper, rel) in claimed.items():
+            outcome[
+                f"Table 4: {code} hand {label} within {rel:.0%} of {paper:g}"
+            ] = abs(value(by_code[code]) - paper) <= rel * paper
+    return outcome
 
 
 def render(result: Table4Result) -> str:

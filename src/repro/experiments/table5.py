@@ -97,6 +97,30 @@ def headline_metrics(result: Table5Result) -> List[HeadlineMetric]:
     return metrics
 
 
+def claims(result: Table5Result) -> Dict[str, bool]:
+    """Every legible Table 5 cell (Cedar within 10%, the Crays within 0.3)
+    and "two exceptions are sufficient on the Cray 1 and Cedar, whereas
+    the YMP needs six"."""
+    outcome = {}
+    for machine, paper in PAPER_VALUES.items():
+        for e, target in paper.items():
+            if target is None:
+                continue
+            measured = result.profiles[machine][e]
+            if machine == "cedar":
+                text, holds = "10%", abs(measured - target) <= 0.10 * target
+            else:
+                text, holds = "0.3", abs(measured - target) <= 0.3
+            outcome[
+                f"Table 5: In(13, {e}) on {machine} within {text} of {target:g}"
+            ] = holds
+        needed = PAPER_EXCLUSIONS[machine]
+        outcome[f"Table 5: {machine} needs {needed} exclusions for In <= 6"] = (
+            result.exclusions_needed[machine] == needed
+        )
+    return outcome
+
+
 def render(result: Table5Result) -> str:
     rows = []
     for machine, profile in result.profiles.items():

@@ -69,6 +69,19 @@ def headline_metrics(result: Table6Result) -> List[HeadlineMetric]:
     return metrics
 
 
+def claims(result: Table6Result) -> Dict[str, bool]:
+    """Both band censuses, exact (high, intermediate, unacceptable)."""
+    return {
+        f"Table 6: Cedar automatable census at P=32 is {PAPER_CEDAR}": (
+            result.cedar.high, result.cedar.intermediate,
+            result.cedar.unacceptable,
+        ) == PAPER_CEDAR,
+        f"Table 6: Y-MP/8 compiled census is {PAPER_YMP}": (
+            result.ymp.high, result.ymp.intermediate, result.ymp.unacceptable,
+        ) == PAPER_YMP,
+    }
+
+
 def render(result: Table6Result) -> str:
     rows = [
         (

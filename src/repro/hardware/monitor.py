@@ -47,10 +47,6 @@ class EventTracer:
         self._armed = False
 
     @property
-    def armed(self) -> bool:
-        return self._armed
-
-    @property
     def full(self) -> bool:
         """True when the capture buffer is at capacity (posts will drop).
 
@@ -89,7 +85,6 @@ class Histogrammer:
         self.num_counters = config.histogrammer_counters
         self.bin_width = bin_width
         self._counters: Dict[int, int] = {}
-        self.overflow = 0
 
     def record(self, value: int) -> None:
         """Increment the counter for ``value``'s bin (saturating)."""
@@ -97,8 +92,7 @@ class Histogrammer:
             raise MonitorError(f"histogram values are non-negative, got {value}")
         bin_index = value // self.bin_width
         if bin_index >= self.num_counters:
-            self.overflow += 1
-            return
+            return  # past the last counter: the hardware has no bin for it
         current = self._counters.get(bin_index, 0)
         if current < self._COUNTER_MAX:
             self._counters[bin_index] = current + 1

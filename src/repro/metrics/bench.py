@@ -13,9 +13,12 @@ Both are deterministic, so the snapshot is byte-identical across runs and
 for any ``--jobs`` count.  The simulator's own speed is not recorded here:
 host wall-clock is measured by ``perfbench``, under repeated runs.
 
-Given a prior snapshot, :func:`compare_snapshots` produces a regression
-report with per-class relative tolerances; any drift beyond them is a
-``fail`` finding and makes the CLI exit non-zero so CI can gate on it.
+Each run also checks the experiment's *claims* (the paper's shape
+statements, see :mod:`repro.experiments.registry`) on the result it
+already has; they need no baseline and are not part of the snapshot.
+:func:`compare_snapshots` turns every false claim, and every metric that
+drifted from a prior snapshot by more than :data:`TOLERANCE`, into a
+``fail`` finding, which makes the CLI exit non-zero so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import BenchError
 from repro.experiments.registry import get_experiment
 from repro.metrics.collector import MonitorCatcher, collect_tracer
-from repro.metrics.headline import DEFAULT_TOLERANCES
 from repro.metrics.registry import MetricsRegistry
 from repro.parallel import parallel_map
 from repro.partition import run_partitioned
@@ -46,14 +48,22 @@ _READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 _SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
+#: Relative drift of a ``fidelity`` or ``machine`` metric, against the
+#: baseline snapshot, beyond which the metric is a failure.
+TOLERANCE = 1e-6
+
+#: ``{experiment key: {claim text: whether it holds}}`` of one bench run.
+Claims = Dict[str, Dict[str, bool]]
+
 
 # ---------------------------------------------------------------------------
 # Running experiments into a snapshot
 # ---------------------------------------------------------------------------
 
 
-def bench_experiment(key: str) -> Dict[str, object]:
-    """Run one experiment and build its snapshot section.
+def bench_experiment(key: str) -> Tuple[Dict[str, object], Dict[str, bool]]:
+    """Run one experiment: its snapshot section, and its claims checked on
+    the same result.
 
     The run attaches to a counters-only tracer: the ``machine`` section
     reads only the bus's exact aggregates, never its timeline.
@@ -67,11 +77,12 @@ def bench_experiment(key: str) -> Dict[str, object]:
     registry = MetricsRegistry()
     collect_tracer(registry, tracer)
     catcher.collect_into(registry)
-    return {
+    section = {
         "description": experiment.description,
         "fidelity": [metric.as_dict() for metric in experiment.headline(result)],
         "machine": registry.as_flat_dict(),
     }
+    return section, experiment.claims(result)
 
 
 def build_snapshot(
@@ -79,39 +90,38 @@ def build_snapshot(
     snapshot_index: int,
     progress=None,
     jobs: int = 1,
-) -> Dict[str, object]:
-    """Run ``keys`` and assemble the full snapshot document.
+) -> Tuple[Dict[str, object], Claims]:
+    """Run ``keys``: the full snapshot document, and each one's claims.
 
     With ``jobs > 1`` experiments run in worker processes.  Each experiment
     is independent (its own engine, tracer and monitors), and sections are
     assembled in the caller's key order -- never completion order -- so the
     snapshot is byte-identical for any job count.
     """
-    experiments: Dict[str, object] = {}
+    runs = {}
     if jobs > 1 and len(keys) > 1:
-        sections = {}
         tasks = [(key, key) for key in keys]
-        for key, section in parallel_map(
+        for key, run in parallel_map(
             bench_experiment, tasks, jobs=min(jobs, len(keys))
         ):
             if progress is not None:
                 progress(key)
-            sections[key] = section
-        for key in keys:  # deterministic order regardless of completion
-            experiments[key] = sections[key]
+            runs[key] = run
     else:
         for key in keys:
             if progress is not None:
                 progress(key)
-            experiments[key] = bench_experiment(key)
+            runs[key] = bench_experiment(key)
             gc.collect()  # bound memory between experiments
-    return {
+    snapshot = {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "snapshot": snapshot_index,
         "code_version": version_fingerprint(),
-        "experiments": experiments,
+        # deterministic order regardless of completion
+        "experiments": {key: runs[key][0] for key in keys},
     }
+    return snapshot, {key: runs[key][1] for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +183,20 @@ def save_snapshot(snapshot: Mapping[str, object], path: str) -> None:
 
 @dataclass(frozen=True)
 class Finding:
-    """One compared metric that moved (or appeared/disappeared)."""
+    """One false claim, or one compared metric that moved (or
+    appeared/disappeared); a claim's ``metric`` is its text."""
 
     experiment: str
     metric: str
-    metric_class: str            # fidelity | machine
+    metric_class: str            # fidelity | machine | claim
     severity: str                # fail | info
     baseline: Optional[float]
     current: Optional[float]
     rel_change: Optional[float]  # signed (current-baseline)/|baseline|
 
     def describe(self) -> str:
+        if self.metric_class == "claim":
+            return f"{self.experiment}: claim does not hold: {self.metric}"
         if self.baseline is None:
             return (
                 f"{self.experiment}/{self.metric}: new metric "
@@ -203,11 +216,13 @@ class Finding:
 
 @dataclass
 class RegressionReport:
-    """All findings of one baseline-vs-current comparison."""
+    """All findings of one bench run: its false claims and, given a
+    baseline snapshot, its drift from it."""
 
-    baseline_snapshot: int
+    baseline_snapshot: Optional[int]  # None: claims only
     current_snapshot: int
     compared: int = 0
+    claims: int = 0
     findings: List[Finding] = field(default_factory=list)
 
     @property
@@ -219,11 +234,16 @@ class RegressionReport:
         return not self.failures
 
     def render(self) -> str:
-        lines = [
-            f"Regression report: snapshot {self.baseline_snapshot} -> "
-            f"{self.current_snapshot}, {self.compared} metric(s) compared: "
-            f"{len(self.failures)} failure(s)"
-        ]
+        checked = f"{self.claims} claim(s) checked"
+        if self.baseline_snapshot is None:
+            head = f"Claims report: snapshot {self.current_snapshot}, {checked}"
+        else:
+            head = (
+                f"Regression report: snapshot {self.baseline_snapshot} -> "
+                f"{self.current_snapshot}, {self.compared} metric(s) "
+                f"compared, {checked}"
+            )
+        lines = [f"{head}: {len(self.failures)} failure(s)"]
         for title, group in (
             ("FAIL", self.failures),
             ("info", [f for f in self.findings if f.severity == "info"]),
@@ -231,7 +251,10 @@ class RegressionReport:
             for finding in group:
                 lines.append(f"  {title}  {finding.describe()}")
         if not self.findings:
-            lines.append("  no drift beyond tolerance")
+            lines.append(
+                "  every claim holds" if self.baseline_snapshot is None
+                else "  no drift beyond tolerance"
+            )
         return "\n".join(lines)
 
 
@@ -247,7 +270,6 @@ def _compare_class(
     metric_class: str,
     baseline: Mapping[str, float],
     current: Mapping[str, float],
-    tolerance: float,
 ) -> None:
     for name in sorted(set(baseline) | set(current)):
         old = baseline.get(name)
@@ -259,7 +281,7 @@ def _compare_class(
             continue
         report.compared += 1
         rel = _relative_change(old, new)
-        if abs(rel) > tolerance:
+        if abs(rel) > TOLERANCE:
             report.findings.append(
                 Finding(experiment, name, metric_class, "fail", old, new, rel)
             )
@@ -281,22 +303,34 @@ def _numeric(mapping: Mapping[str, object]) -> Dict[str, float]:
 
 
 def compare_snapshots(
-    baseline: Mapping[str, object],
+    baseline: Optional[Mapping[str, object]],
     current: Mapping[str, object],
-    tolerances: Optional[Mapping[str, float]] = None,
+    claims: Optional[Claims] = None,
 ) -> RegressionReport:
-    """Diff two snapshots metric-by-metric under per-class tolerances.
+    """Check ``claims``, then diff ``current`` against ``baseline`` metric
+    by metric.
 
-    Only experiments present in both snapshots are compared, so a
+    Every false claim is a failure; with no baseline that is the whole
+    report.  Only experiments present in both snapshots are compared, so a
     ``--quick`` run diffs cleanly against a full baseline.  Metrics present
     on one side only are reported as informational findings.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    claims = claims or {}
     report = RegressionReport(
-        baseline_snapshot=int(baseline.get("snapshot", -1)),
+        baseline_snapshot=(
+            None if baseline is None else int(baseline.get("snapshot", -1))
+        ),
         current_snapshot=int(current.get("snapshot", -1)),
+        claims=sum(len(outcomes) for outcomes in claims.values()),
     )
+    for key, outcomes in claims.items():
+        for text, holds in outcomes.items():
+            if not holds:
+                report.findings.append(
+                    Finding(key, text, "claim", "fail", None, None, None)
+                )
+    if baseline is None:
+        return report
     base_experiments = baseline.get("experiments", {})
     cur_experiments = current.get("experiments", {})
     for key in sorted(set(base_experiments) & set(cur_experiments)):
@@ -305,12 +339,10 @@ def compare_snapshots(
         _compare_class(
             report, key, "fidelity",
             _fidelity_values(base_section), _fidelity_values(cur_section),
-            tol["fidelity"],
         )
         _compare_class(
             report, key, "machine",
             _numeric(base_section.get("machine", {})),
             _numeric(cur_section.get("machine", {})),
-            tol["machine"],
         )
     return report

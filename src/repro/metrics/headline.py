@@ -17,14 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-#: Relative drift ``cedar-repro bench`` allows per snapshot section before
-#: it reports a failure.  Defined here, not in :mod:`repro.metrics.bench`, so the
-#: CLI can quote them in its help without importing the bench harness.
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "fidelity": 1e-6,
-    "machine": 1e-6,
-}
-
 
 @dataclass(frozen=True)
 class HeadlineMetric:

@@ -142,9 +142,6 @@ class ServeClient:
 
     # -- endpoints ----------------------------------------------------------
 
-    def healthz(self) -> Dict[str, object]:
-        return self._request_json("GET", "/healthz")[2]
-
     def submit(
         self,
         experiment: Optional[str] = None,

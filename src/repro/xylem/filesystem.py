@@ -11,7 +11,6 @@ story of Section 4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 #: Sustained unformatted sequential transfer rate through an IP (bytes/s).
 UNFORMATTED_BYTES_PER_SECOND = 4.0e6
@@ -47,15 +46,7 @@ class IORequest:
 
 
 class FileSystem:
-    """File service priced per request; keeps the requests it served."""
-
-    def __init__(self) -> None:
-        self.requests: List[IORequest] = []
-
-    def transfer(self, request: IORequest) -> float:
-        """Execute one request; returns its service time in seconds."""
-        self.requests.append(request)
-        return request.seconds
+    """File service priced per request."""
 
     def seconds_for(self, byte_count: float, formatted: bool = False) -> float:
         """Cost of a transfer without recording it (model queries)."""

@@ -118,9 +118,6 @@ class ClusterScheduler:
 
     # -- metrics -----------------------------------------------------------------
 
-    def makespan(self) -> float:
-        return self.clock
-
     def utilization(self) -> float:
         """Cluster-seconds used over cluster-seconds available."""
         if self.clock <= 0:

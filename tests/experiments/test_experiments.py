@@ -1,8 +1,9 @@
 """Tests for the experiment registry and the fast (model-level) drivers.
 
-Cycle-simulator experiments (table1, table2, ppt4, network ablation) are
-exercised end-to-end by the benchmarks; here we test the registry plumbing
-and the analytic-model experiments that run in milliseconds.
+Cycle-simulator experiments (table1, table2, ppt4, network ablation) run
+end-to-end under ``cedar-repro bench``, which checks their claims
+(``test_claims.py`` checks the claim functions); here we test the registry
+plumbing and the analytic-model experiments that run in milliseconds.
 """
 
 import pytest

@@ -2,7 +2,8 @@
 
 Each test exercises multiple subsystems together (simulator + monitor,
 model + methodology, compiler + model) and checks a sentence from the
-paper.  Heavier whole-table regenerations live in benchmarks/.
+paper.  Whole-table regenerations run under ``cedar-repro bench``, which
+checks each table's claims (``claims()`` in its experiment driver).
 """
 
 import pytest

@@ -68,15 +68,14 @@ class TestCompare:
         assert "0 failure(s)\n  no drift beyond tolerance" in report.render()
 
     def test_exact_boundary_passes_just_above_fails(self):
-        # tolerance is inclusive: |rel change| == tol is OK
-        base = make_snapshot(0, fidelity={"m": 100.0})
-        at_boundary = make_snapshot(1, fidelity={"m": 110.0})
-        report = bench.compare_snapshots(
-            base, at_boundary, tolerances={"fidelity": 0.1}
-        )
+        # tolerance is inclusive: |rel change| == TOLERANCE is OK
+        assert bench.TOLERANCE == 1e-6
+        base = make_snapshot(0, fidelity={"m": 1e6})
+        at_boundary = make_snapshot(1, fidelity={"m": 1e6 + 1})
+        report = bench.compare_snapshots(base, at_boundary)
         assert report.findings == []
-        above = make_snapshot(1, fidelity={"m": 110.0 + 1e-6})
-        report = bench.compare_snapshots(base, above, tolerances={"fidelity": 0.1})
+        above = make_snapshot(1, fidelity={"m": 1e6 + 2})
+        report = bench.compare_snapshots(base, above)
         assert [f.severity for f in report.findings] == ["fail"]
 
     def test_fidelity_drift_hard_fails(self):
@@ -130,15 +129,19 @@ class TestCompare:
         assert report.compared == 0
         assert report.findings == []
 
-    def test_tolerance_override(self):
-        base = make_snapshot(0, machine={"m": 100.0})
-        current = make_snapshot(1, machine={"m": 101.0})
-        relaxed = bench.compare_snapshots(
-            base, current, tolerances={"machine": 0.05}
+    def test_false_claims_are_failures(self):
+        claims = {"table6": {"Table 6: holds": True, "Table 6: broken": False}}
+        current = make_snapshot(1, fidelity={"m": 1.0})
+        for baseline in (None, make_snapshot(0, fidelity={"m": 1.0})):
+            report = bench.compare_snapshots(baseline, current, claims)
+            assert report.claims == 2
+            assert [f.metric for f in report.failures] == ["Table 6: broken"]
+            assert "table6: claim does not hold: Table 6: broken" in report.render()
+        assert report.compared == 1
+        assert bench.compare_snapshots(None, current, {}).render() == (
+            "Claims report: snapshot 1, 0 claim(s) checked: 0 failure(s)\n"
+            "  every claim holds"
         )
-        assert relaxed.findings == []
-        strict = bench.compare_snapshots(base, current)
-        assert len(strict.failures) == 1
 
 
 class TestSnapshotFiles:
@@ -183,47 +186,49 @@ class TestSnapshotFiles:
 
 class TestBenchExperiment:
     def test_sections_present(self):
-        section = bench.bench_experiment("table6")
+        section, claims = bench.bench_experiment("table6")
         assert section["description"]
         assert section["fidelity"], "experiment must declare headline metrics"
         for metric in section["fidelity"]:
             assert set(metric) >= {"name", "value", "unit", "target"}
         assert section["machine"], "run must drain machine series"
         assert list(section) == ["description", "fidelity", "machine"]
+        assert claims and all(claims.values())
 
     def test_counters_only_run_records_no_timeline(self):
         # machine reads the bus's exact aggregates, never its records
-        machine = bench.bench_experiment("table6")["machine"]
+        machine = bench.bench_experiment("table6")[0]["machine"]
         assert machine
         assert not [name for name in machine if name.startswith("sim_trace_")]
 
     def test_deterministic_fidelity_and_machine(self):
-        first = bench.bench_experiment("table6")
-        second = bench.bench_experiment("table6")
+        first, _ = bench.bench_experiment("table6")
+        second, _ = bench.bench_experiment("table6")
         assert first["fidelity"] == second["fidelity"]
         assert first["machine"] == second["machine"]
 
     def test_build_snapshot_document(self):
         seen = []
-        snapshot = bench.build_snapshot(["table6"], 7, progress=seen.append)
+        snapshot, claims = bench.build_snapshot(["table6"], 7, progress=seen.append)
         assert seen == ["table6"]
         assert snapshot["schema"] == bench.SCHEMA
         assert snapshot["schema_version"] == bench.SCHEMA_VERSION
         assert snapshot["snapshot"] == 7
         assert "traced" not in snapshot
         assert list(snapshot["experiments"]) == ["table6"]
+        assert list(claims) == ["table6"]
 
     def test_parallel_build_snapshot_merges_in_key_order(self):
         seen = []
         keys = ["table6", "table5", "figure3"]  # deliberately unsorted
-        snapshot = bench.build_snapshot(keys, 3, progress=seen.append, jobs=3)
+        parallel = bench.build_snapshot(keys, 3, progress=seen.append, jobs=3)
         assert sorted(seen) == sorted(keys)  # progress is completion-order
-        assert list(snapshot["experiments"]) == keys  # sections are key-order
-        sequential = bench.build_snapshot(keys, 3, jobs=1)
-        assert snapshot == sequential
+        assert list(parallel[0]["experiments"]) == keys  # sections are key-order
+        assert list(parallel[1]) == keys
+        assert parallel == bench.build_snapshot(keys, 3, jobs=1)
 
     def test_single_key_ignores_jobs(self):
-        snapshot = bench.build_snapshot(["table6"], 0, jobs=8)
+        snapshot, _ = bench.build_snapshot(["table6"], 0, jobs=8)
         assert list(snapshot["experiments"]) == ["table6"]
 
 
@@ -293,6 +298,26 @@ class TestBenchCli:
         captured = capsys.readouterr()
         assert "baseline" not in captured.err
         assert "Regression report" not in captured.out
+
+    def test_false_claim_fails_with_and_without_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.bands import BandCensus
+        from repro.experiments import table6
+
+        assert self.run_bench(tmp_path) == 0  # the clean baseline
+        capsys.readouterr()
+        real = table6.run()
+        monkeypatch.setattr(table6, "run", lambda: table6.Table6Result(
+            cedar=BandCensus(1, 9, 4), ymp=real.ymp,
+            cedar_efficiencies=real.cedar_efficiencies,
+        ))
+        claim = "table6: claim does not hold: Table 6: Cedar automatable census"
+        for extra in ((), ("--baseline", "none")):
+            assert self.run_bench(tmp_path, *extra) == 1
+            out = capsys.readouterr().out
+            assert f"  FAIL  {claim} at P=32 is (1, 9, 3)\n" in out
+            assert "Y-MP/8" not in out  # the claim that holds stays quiet
 
     def test_explicit_out_path(self, tmp_path, capsys):
         out = tmp_path / "custom.json"

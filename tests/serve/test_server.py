@@ -122,6 +122,11 @@ def _samples(client):
     return parse_prometheus(payload.decode("utf-8"))
 
 
+def _health(client):
+    """``GET /healthz`` over ``client``'s own connection, decoded."""
+    return client._request_json("GET", "/healthz")[2]
+
+
 def wait_for(predicate, timeout=10):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -150,7 +155,7 @@ class TestHealthzCost:
         monkeypatch.setattr(os, "listdir", counting_listdir)
         with ServerThread(registry=registry) as server:
             client = server.client
-            counts = {client.healthz()["cached_results"] for _ in range(100)}
+            counts = {_health(client)["cached_results"] for _ in range(100)}
         assert counts == {2}
         assert listed == []
 
@@ -160,7 +165,7 @@ class TestHttpBasics:
         server, _ = stub_server()
         with server:
             client = server.client
-            health = client.healthz()
+            health = _health(client)
             assert health["status"] == "ok"
             assert health["code_version"] == version_fingerprint()
             assert health["workers"] == 1
@@ -357,11 +362,11 @@ class TestTraceTelemetry:
         server, _ = self._traced_server(jobs=1)
         with server:
             client = server.client
-            assert "trace_buffer_bytes" not in client.healthz()
+            assert "trace_buffer_bytes" not in _health(client)
             for key in ("table2", "table5"):
                 job_id = client.submit(key)["job"]["id"]
                 client.wait(job_id, timeout=10)
-            health = client.healthz()
+            health = _health(client)
             assert "trace_overhead_ratio" not in health
             assert health["trace_buffer_bytes"] == 4096
             samples = _samples(client)
@@ -420,7 +425,7 @@ class TestEviction:
             assert "unknown job" in str(info.value)
 
             assert len(client.jobs()) == RETAINED_JOBS
-            assert client.healthz()["jobs"] == RETAINED_JOBS
+            assert _health(client)["jobs"] == RETAINED_JOBS
             samples = _samples(client)
             assert samples["serve_jobs_evicted_total"] == 1
             assert samples["serve_jobs_retained"] == RETAINED_JOBS
@@ -670,7 +675,7 @@ class TestRealSimulation:
             assert min(phases.values()) >= 0
             split = phases["spawn"] + phases["simulate"] + phases["serialize"]
             assert split == pytest.approx(phases["worker"], abs=0.002)
-            health = client.healthz()
+            health = _health(client)
             assert health["trace_buffer_bytes"] > 0
             assert samples["serve_trace_buffer_bytes"] > 0
             # The warm (cache-hit) job never ran, so it has no buffer.
@@ -718,7 +723,7 @@ class TestPersistentConnections:
             # The scrape itself arrives on the first connection.
             assert samples["serve_connections_total"] == 1
             assert samples["serve_connections_open"] == 1
-            assert client.healthz()["connections_open"] == 1
+            assert _health(client)["connections_open"] == 1
 
     def test_warm_hits_from_one_thread_share_one_connection(self):
         server, _ = stub_server()
@@ -757,7 +762,7 @@ class TestPersistentConnections:
                 thread.join(timeout=30)
             assert statuses == ["hit"] * 50
             assert _connections_total(observer) - before == 2
-            wait_for(lambda: observer.healthz()["connections_open"] == 1)
+            wait_for(lambda: _health(observer)["connections_open"] == 1)
 
     def test_keep_alive_responses_do_not_say_close(self):
         server, _ = stub_server()
@@ -820,7 +825,7 @@ class TestPersistentConnections:
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.recv(65536) == b""  # no 400, just EOF
             wait_for(
-                lambda: server.client.healthz()["connections_open"] == 1
+                lambda: _health(server.client)["connections_open"] == 1
             )
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
@@ -845,7 +850,7 @@ class TestPersistentConnections:
         server, _ = stub_server()
         server.__enter__()
         client = server.client
-        assert client.healthz()["connections_open"] == 1
+        assert _health(client)["connections_open"] == 1
         began = time.monotonic()
         server.__exit__(None, None, None)
         assert time.monotonic() - began < 2
@@ -853,16 +858,16 @@ class TestPersistentConnections:
         # The server closed the idle connection: the client's one retry
         # finds nothing listening and fails instead of hanging.
         with pytest.raises(ConnectionRefusedError):
-            client.healthz()
+            _health(client)
 
     def test_client_context_closes_its_connection(self):
         server, _ = stub_server()
         with server:
             observer = server.client
             with server.client as client:
-                client.healthz()
-                assert observer.healthz()["connections_open"] == 2
-            wait_for(lambda: observer.healthz()["connections_open"] == 1)
+                _health(client)
+                assert _health(observer)["connections_open"] == 2
+            wait_for(lambda: _health(observer)["connections_open"] == 1)
 
 
 @pytest.mark.parametrize("header, message", [
@@ -886,7 +891,7 @@ def test_broken_request_framing_is_a_400_and_a_close(header, message):
         error = json.loads(received.partition(b"\r\n\r\n")[2])["error"]
         assert message in error
         assert stub.calls == []
-        assert server.client.healthz()["status"] == "ok"
+        assert _health(server.client)["status"] == "ok"
 
 
 class ScriptedServer:
@@ -959,7 +964,7 @@ class TestClientReconnects:
         with ScriptedServer(answer_one_then_close) as fake:
             with ServeClient(port=fake.port, timeout=5) as client:
                 for _ in range(3):
-                    assert client.healthz() == {"status": "ok"}
+                    assert _health(client) == {"status": "ok"}
             # Each request after the first found its kept connection
             # closed, and reconnected once.
             assert fake.accepted == 3
@@ -971,9 +976,9 @@ class TestClientReconnects:
 
         with ScriptedServer(answer_first_connection_only) as fake:
             with ServeClient(port=fake.port, timeout=5) as client:
-                assert client.healthz() == {"status": "ok"}
+                assert _health(client) == {"status": "ok"}
                 with pytest.raises(ConnectionError):
-                    client.healthz()
+                    _health(client)
             assert fake.accepted == 2
 
     def test_a_fresh_connection_is_never_retried(self):
@@ -983,7 +988,7 @@ class TestClientReconnects:
         with ScriptedServer(drop) as fake:
             client = ServeClient(port=fake.port, timeout=5)
             with pytest.raises(ConnectionError):
-                client.healthz()
+                _health(client)
             assert fake.accepted == 1
 
     def test_a_refused_connection_is_not_retried(self, monkeypatch):
@@ -999,7 +1004,7 @@ class TestClientReconnects:
 
         monkeypatch.setattr(ServeClient, "_connection", counting)
         with pytest.raises(ConnectionRefusedError):
-            client.healthz()
+            _health(client)
         assert len(opened) == 1
 
     def test_timeout_mid_response_leaves_the_next_request_working(self):
@@ -1015,9 +1020,9 @@ class TestClientReconnects:
         with ScriptedServer(stall_first_response) as fake:
             with ServeClient(port=fake.port, timeout=0.3) as client:
                 with pytest.raises(TimeoutError):
-                    client.healthz()
-                assert client.healthz() == {"status": "ok"}
-                assert client.healthz() == {"status": "ok"}
+                    _health(client)
+                assert _health(client) == {"status": "ok"}
+                assert _health(client) == {"status": "ok"}
             assert fake.accepted == 2
 
 

@@ -71,8 +71,8 @@ UNCALLED_ALLOWED = {
 }
 
 #: Trees whose whole text counts as user code for the definition walk:
-#: the examples, the benchmark harness and the paper-claim benchmarks.
-WALK_ROOTS = ("examples", "perfbench", "benchmarks")
+#: the examples and the benchmark harness.
+WALK_ROOTS = ("examples", "perfbench")
 
 
 def _fresh_modules(code: str) -> list:
@@ -257,6 +257,9 @@ def _reachable(modules: dict) -> set:
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: A string that can name code: a dotted path or a ``module:name`` key,
+#: not prose such as ``"transfer-encoding"``.
+_NAME_STRING = re.compile(r"[\w.:]+")
 #: Assignments whose strings list names without loading them.
 _NOT_LOADS = {"__all__", "__slots__"}
 
@@ -352,7 +355,10 @@ class _Walk:
                 elif kind == "def" and getattr(node.value, "id", None) == "self":
                     key = f"{owner.rsplit('.', 1)[0]}.{node.attr}"
                     self.stores.setdefault(key, node.lineno)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and _NAME_STRING.fullmatch(node.value)
+            ):
                 identifiers = _IDENTIFIER.findall(node.value)
                 self.loads.update(identifiers)
                 self.reads.update(identifiers)

@@ -120,7 +120,7 @@ def test_parallel_snapshot_identical_to_sequential():
     keys = ["figure3", "table5", "table6"]
     sequential = build_snapshot(keys, 0, jobs=1)
     parallel = build_snapshot(keys, 0, jobs=4)
-    assert list(parallel["experiments"]) == keys  # key order, not completion
+    assert list(parallel[0]["experiments"]) == keys  # key order, not completion
     assert sequential == parallel
 
 

@@ -61,5 +61,5 @@ class TestEmbedding:
         assert record["code_version"] == version_fingerprint()
 
     def test_bench_snapshot_carries_code_version(self):
-        snapshot = bench.build_snapshot(["table6"], 0)
+        snapshot, _ = bench.build_snapshot(["table6"], 0)
         assert snapshot["code_version"] == version_fingerprint()

@@ -46,7 +46,7 @@ class TestGangAllocation:
         assert waiting.state is TaskState.WAITING
         scheduler.run_to_completion()
         assert waiting.state is TaskState.COMPLETE
-        assert scheduler.makespan() == pytest.approx(10.0)
+        assert scheduler.clock == pytest.approx(10.0)
 
 
 class TestSingleUserMode:
@@ -56,14 +56,14 @@ class TestSingleUserMode:
         b = scheduler.submit(task("b", clusters=1, seconds=3.0))
         assert b.state is TaskState.WAITING  # despite free clusters
         scheduler.run_to_completion()
-        assert scheduler.makespan() == pytest.approx(6.0)
+        assert scheduler.clock == pytest.approx(6.0)
 
     def test_multiprogramming_overlaps(self):
         scheduler = ClusterScheduler(num_clusters=4, single_user=False)
         scheduler.submit(task("a", clusters=1, seconds=3.0))
         scheduler.submit(task("b", clusters=1, seconds=3.0))
         scheduler.run_to_completion()
-        assert scheduler.makespan() == pytest.approx(3.0)
+        assert scheduler.clock == pytest.approx(3.0)
 
 
 class TestMetrics:

@@ -21,13 +21,6 @@ class TestFileSystem:
         # The hand BDNA saved ~50s by unformatting its trajectory output.
         assert savings == pytest.approx(49.0, rel=0.1)
 
-    def test_transfer_accounting(self):
-        fs = FileSystem()
-        assert fs.transfer(IORequest(1e6)) > 0
-        fs.transfer(IORequest(2e6, formatted=True))
-        assert sum(r.byte_count for r in fs.requests) == pytest.approx(3e6)
-        assert len(fs.requests) == 2
-
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
             IORequest(-1.0)
