@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional
 
-from repro.config import network_stages_for
+from repro.config import MAX_SWITCH_RADIX, network_stages_for
 from repro.errors import SpecError
 
 #: Routing-tag bits the packet header can carry.  The first packet word
@@ -135,10 +135,10 @@ class MachineSpec:
                 ces,
             )
         radix = _require_int("switch_radix", self.switch_radix)
-        if not _is_power_of_two(radix) or not 2 <= radix <= 16:
+        if not _is_power_of_two(radix) or not 2 <= radix <= MAX_SWITCH_RADIX:
             raise SpecError(
                 "switch_radix",
-                "must be a power of two between 2 and 16",
+                f"must be a power of two between 2 and {MAX_SWITCH_RADIX}",
                 radix,
             )
         queue = _require_int("port_queue_words", self.port_queue_words)

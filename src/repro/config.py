@@ -21,6 +21,11 @@ from typing import Iterator, List, Optional
 #: CE instruction cycle time in seconds (170 ns, Section 2).
 CE_CYCLE_SECONDS = 170e-9
 
+#: Widest crossbar switch a machine may be built with: the builder's
+#: radix bound, and the largest radix whose round-robin arbitration table
+#: (``2**radix`` entries, about 0.5 MB at 16) the crossbar builds.
+MAX_SWITCH_RADIX = 16
+
 
 def network_stages_for(ports: int, radix: int) -> int:
     """Stages of radix-``radix`` switches needed to connect ``ports`` lines.

@@ -103,7 +103,7 @@ class Ensemble:
 
     The stability measure is defined "on P processors of an ensemble of
     computations over K codes"; this container holds those K results and
-    offers the rate and speedup views that the methodology consumes.
+    offers the rate and efficiency views that the methodology consumes.
     """
 
     machine: str
@@ -138,10 +138,6 @@ class Ensemble:
     def rates(self) -> Dict[str, float]:
         """MFLOPS per code (the paper's rate measure for stability)."""
         return {r.code: r.mflops for r in self.results}
-
-    def speedups(self) -> Dict[str, float]:
-        """Speedup per code."""
-        return {r.code: r.speedup for r in self.results}
 
     def efficiencies(self) -> Dict[str, float]:
         """Efficiency per code."""

@@ -9,7 +9,7 @@ from repro.hardware.cache import ClusterCache
 from repro.hardware.ccb import BodyFactory, ConcurrencyControlBus
 from repro.hardware.ce import ComputationalElement
 from repro.hardware.engine import Engine
-from repro.hardware.memory import module_for_address
+from repro.hardware.memory import address_steering
 from repro.hardware.network import OmegaNetwork
 
 
@@ -33,11 +33,14 @@ class Cluster:
             engine, config.cache, config.cluster_memory, name=f"cl{index}.cache",
             tracer=tracer,
         )
-        # Address steering shares memory.module_for_address so the CE-side
-        # port choice and the module-side ownership can never disagree,
-        # whatever interleave a builder spec declares.
-        num_modules = config.global_memory.num_modules
-        interleave_words = config.global_memory.interleave_words
+        # The CE-side port choice is memory.address_steering, which the
+        # sanitizer checks against module_for_address (the module-side
+        # ownership) on every request, whatever interleave a builder spec
+        # declares.
+        memory_port_of = address_steering(
+            config.global_memory.num_modules,
+            config.global_memory.interleave_words,
+        )
         self.ces: List[ComputationalElement] = [
             ComputationalElement(
                 engine=engine,
@@ -46,9 +49,7 @@ class Cluster:
                 forward=forward,
                 reverse=reverse,
                 cache=self.cache,
-                memory_port_of=lambda a: module_for_address(
-                    a, num_modules, interleave_words
-                ),
+                memory_port_of=memory_port_of,
                 monitor=monitor,
                 tracer=tracer,
             )

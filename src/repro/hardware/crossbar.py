@@ -41,7 +41,14 @@ a congested port holds one integer.
 Arbitration: the round-robin winner of output ``o`` with pointer ``start``
 is the lowest set bit of ``inputs >> start << start or inputs`` -- the
 first head-routed input at or after the pointer, else the first one
-before it.
+before it.  As in the hardware's priority encoder, that bit is read from
+a fixed truth table, not computed: ``lowest[mask]`` is the index of
+``mask``'s lowest set bit, one tuple per radix (:func:`lowest_set_bit`),
+built once and shared by every switch of that radix.  A scan picks its
+output with ``lowest[ready]`` and its input with
+``lowest[inputs >> start << start or inputs]``.  The table has
+``2**radix`` entries, so a switch is at most radix
+:data:`~repro.config.MAX_SWITCH_RADIX`.
 
 Wake masks: a switch-wide scan visits only the outputs in
 ``_headed & _idle``, in ascending order.  A grant pops an input queue, and
@@ -60,13 +67,28 @@ arrivals.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.config import MAX_SWITCH_RADIX
 from repro.errors import SimulationError
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.packet import Packet
 from repro.hardware.queueing import BoundedWordQueue
+
+
+_LOWEST_SET_BIT: Dict[int, Tuple[int, ...]] = {}
+
+
+def lowest_set_bit(radix: int) -> Tuple[int, ...]:
+    """``table[mask]`` = index of ``mask``'s lowest set bit (-1 at 0), for
+    every ``radix``-bit mask; built on first use, then shared."""
+    table = _LOWEST_SET_BIT.get(radix)
+    if table is None:
+        table = _LOWEST_SET_BIT[radix] = (-1,) + tuple(
+            (mask & -mask).bit_length() - 1 for mask in range(1, 1 << radix)
+        )
+    return table
 
 
 class SwitchInputQueue(BoundedWordQueue):
@@ -161,10 +183,14 @@ class CrossbarSwitch:
         name: str = "",
         tracer=None,
     ) -> None:
-        if radix < 2:
-            raise ValueError(f"crossbar radix must be >= 2, got {radix}")
+        if not 2 <= radix <= MAX_SWITCH_RADIX:
+            raise ValueError(
+                f"crossbar radix must be in [2, {MAX_SWITCH_RADIX}], got {radix}"
+            )
         self.engine = engine
         self.radix = radix
+        #: The shared round-robin truth table (see "Arbitration").
+        self._lowest = lowest_set_bit(radix)
         #: Output port of each packet destination (indexed by destination).
         self.route_table = route_table
         self.name = name
@@ -211,14 +237,13 @@ class CrossbarSwitch:
             # One pass per wake_all: the masks must mirror the actual queue
             # heads, sinks and transfers before any scan trusts them.
             sanitizer.check_crossbar_masks(self)
+        lowest = self._lowest
         ready = self._headed & self._idle
         while ready:
-            low = ready & -ready
-            output = low.bit_length() - 1
+            output = lowest[ready]
             inputs = self._inputs_for[output]
             start = self.next_input[output]
-            pick = inputs >> start << start or inputs
-            index = (pick & -pick).bit_length() - 1
+            index = lowest[inputs >> start << start or inputs]
             head = self.input_queues[index]._packets[0]
             sink = self.sink[output]
             if head.words > sink.capacity_words - sink._used_words:
@@ -236,12 +261,12 @@ class CrossbarSwitch:
                         )
                     counters.values[slot] += 1
                 sink._owed_wakeups += 1
-                ready ^= low
+                ready ^= 1 << output
             else:
                 self._grant(output, start, index, head)
                 # The grant's pop may have re-entered this switch: re-read
                 # the masks, keeping only the outputs above this one.
-                ready = self._headed & self._idle & -(low << 1)
+                ready = self._headed & self._idle & -(2 << output)
 
     def wake(self, output: int) -> None:
         """Scan one output; its space waiter and end of transfer call this."""
@@ -255,8 +280,7 @@ class CrossbarSwitch:
                 self._sanitizer.check_masked_skip(self, output)
             return
         start = self.next_input[output]
-        pick = inputs >> start << start or inputs
-        index = (pick & -pick).bit_length() - 1
+        index = self._lowest[inputs >> start << start or inputs]
         head = self.input_queues[index]._packets[0]
         sink = self.sink[output]
         if head.words > sink.capacity_words - sink._used_words:

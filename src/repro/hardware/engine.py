@@ -19,6 +19,14 @@ same place a heap would have put it.  ``tests/hardware/reference_engine.py``
 keeps the one-event-at-a-time heap loop as the oracle the differential
 tests compare this engine against.
 
+**Counted per bucket.**  ``events_dispatched`` grows by a bucket's length
+once the bucket is done, not per event.  The runaway guard is an
+``islice`` over the bucket's iterator, capped at the events left under
+``max_events``; entries left when it runs out raise the runaway error.
+When a callback raises, the list iterator's ``__length_hint__()`` says
+how far it got (exactly, in CPython), so the raising event is counted
+and the rest of the bucket stays queued.
+
 **Cancelled recurrences.**  A :class:`RecurringEvent` cancelled while its
 occurrence is queued has that bucket slot replaced by an inert no-op.  The
 slot still dispatches, and counts, at its cycle, so ``events_dispatched``
@@ -35,6 +43,7 @@ progress is only legal from within a dispatching callback.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -292,24 +301,29 @@ class Engine:
                         self._run_skipped += time - now - 1
                     now = self._now = time
                 bucket = buckets[time]
-                first = dispatched
+                # Iterating the live list also dispatches the delay-0
+                # events callbacks append to it, in append order.
+                callbacks = iter(bucket)
                 try:
-                    # Iterating the live list also dispatches the delay-0
-                    # events callbacks append to it, in append order.
-                    for callback in bucket:
-                        if dispatched >= max_events:
-                            raise _runaway(max_events, now)
-                        # Counted before the call, so an aborted run
-                        # accounts the raising event as dispatched.
-                        dispatched += 1
+                    for callback in islice(callbacks, max_events - dispatched):
                         callback()
+                    if callbacks.__length_hint__():
+                        # The guard ran out with this cycle's events left.
+                        raise _runaway(max_events, now)
                 except BaseException:
-                    # Leave the rest of this cycle queued for a later run.
-                    del bucket[: dispatched - first]
+                    # The iterator is already past a raising event, so it
+                    # counts as dispatched; the rest of this cycle stays
+                    # queued for a later run.  PEP 424 promises only a
+                    # hint, but CPython's list iterator reports exactly the
+                    # entries it has left (the engine tests pin this).
+                    consumed = len(bucket) - callbacks.__length_hint__()
+                    dispatched += consumed
+                    del bucket[:consumed]
                     if not bucket:
                         del buckets[time]
                         heappop(times)
                     raise
+                dispatched += len(bucket)
                 del buckets[time]
                 heappop(times)
             else:

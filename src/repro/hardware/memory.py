@@ -39,6 +39,20 @@ def module_for_address(
     return (address // interleave_words) % num_modules
 
 
+def address_steering(num_modules: int, interleave_words: int) -> Callable[[int], int]:
+    """:func:`module_for_address` with the shape bound: the CE-side map.
+
+    At the paper's interleave it is ``num_modules.__rmod__`` (``address %
+    num_modules``), a C-level callable, so steering a request runs no
+    Python frame.  A coarser interleave calls :func:`module_for_address`,
+    so the formula lives only there; the sanitizer's ownership check calls
+    it on every request a module pulls, which proves the two sides agree.
+    """
+    if interleave_words == 1:
+        return num_modules.__rmod__
+    return lambda address: module_for_address(address, num_modules, interleave_words)
+
+
 class MemoryModule:
     """One global-memory module with its synchronization processor."""
 

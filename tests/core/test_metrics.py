@@ -113,7 +113,7 @@ class TestEnsemble:
         assert ensemble.codes == ["A", "B"]
         assert len(ensemble) == 2
         assert ensemble.rates()["B"] == pytest.approx(1.7e9 / 42.0 / 1e6)
-        assert ensemble.speedups()["A"] == pytest.approx(220.0 / 21.0)
+        assert [r.speedup for r in ensemble][0] == pytest.approx(220.0 / 21.0)
 
     def test_rejects_wrong_machine(self):
         ensemble = Ensemble(machine="cedar", processors=32)

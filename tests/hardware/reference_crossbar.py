@@ -28,6 +28,19 @@ from repro.hardware.queueing import BoundedWordQueue
 RouteFunction = Callable[[Packet], int]
 
 
+def first_in_rotation(
+    head_route: List[Optional[int]], output: int, start: int
+) -> int:
+    """The round-robin pick: the first input, in rotation order from the
+    pointer ``start``, whose head routes to ``output`` (-1 if none)."""
+    radix = len(head_route)
+    for offset in range(radix):
+        index = (start + offset) % radix
+        if head_route[index] == output:
+            return index
+    return -1
+
+
 class _HeadListenedQueue(BoundedWordQueue):
     """A queue that calls one head listener on every head change.
 
@@ -113,28 +126,19 @@ class _OutputArbiter:
         if self._busy or sink is None:
             return
         switch = self.switch
-        queues = switch.input_queues
-        radix = switch.radix
         output_index = self.output_index
         if not switch._heads_for[output_index]:
             return  # no head routed here: the scan could find nothing
-        start = self._next_input
-        chosen = -1
-        for offset in range(radix):
-            index = (start + offset) % radix
-            if switch._head_route[index] != output_index:
-                continue
-            head = queues[index]._packets[0]
-            if head.words <= sink.capacity_words - sink._used_words:
-                chosen = index
-                break
+        chosen = first_in_rotation(
+            switch._head_route, output_index, self._next_input
+        )
+        queue = switch.input_queues[chosen]
+        if queue._packets[0].words > sink.capacity_words - sink._used_words:
             self._count_conflict(sink)
             return
-        if chosen < 0:
-            return
         self._busy = True
-        packet = queues[chosen].pop()
-        self._next_input = (chosen + 1) % radix
+        packet = queue.pop()
+        self._next_input = (chosen + 1) % switch.radix
         self._in_flight = packet
         delay = packet.words * self.cycles_per_word
         # The deferred re-scan of every output is always scheduled: a

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, MAX_SWITCH_RADIX
 from repro.errors import SimulationError
 from repro.hardware import sanitize
-from repro.hardware.crossbar import CrossbarSwitch
+from repro.hardware.crossbar import CrossbarSwitch, lowest_set_bit
 from repro.hardware.engine import Engine
 from repro.hardware.machine import CedarMachine
 from repro.hardware.memory import MemoryModule
@@ -15,6 +15,7 @@ from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.queueing import BoundedWordQueue
 from repro.kernels.vector_load import vector_load_kernel
 from repro.trace import Tracer
+from tests.hardware.reference_crossbar import first_in_rotation
 
 
 def packet(destination=0, words=1):
@@ -185,6 +186,38 @@ class TestBitPick:
         assert switch.in_flight[0] is heads[expected]
         assert switch.next_input[0] == (expected + 1) % radix
         assert sanitizer.violations == 0  # the shadow arbiter agreed
+
+
+class TestArbitrationTable:
+    """``lowest[mask]`` is the arbiter's truth table: for every radix a
+    machine can be built with, every pointer and every input mask, its
+    pick is the bit formula's and the reference arbiter's."""
+
+    @pytest.mark.parametrize("radix", [2, 4, 8, 16])
+    def test_table_pick_is_the_formula_and_the_reference_choice(self, radix):
+        lowest = lowest_set_bit(radix)
+        assert len(lowest) == 1 << radix and lowest[0] == -1
+        mismatches = []
+        for inputs in range(1, 1 << radix):
+            head_route = [0 if inputs >> i & 1 else None for i in range(radix)]
+            for start in range(radix):
+                pick = inputs >> start << start or inputs
+                table = lowest[pick]
+                if not (
+                    table == (pick & -pick).bit_length() - 1
+                    == first_in_rotation(head_route, 0, start)
+                ):
+                    mismatches.append((inputs, start, table))
+        assert mismatches == []
+
+    def test_switches_of_one_radix_share_one_table(self):
+        first, second = make_switch(), make_switch()
+        assert first._lowest is second._lowest is lowest_set_bit(4)
+
+    @pytest.mark.parametrize("radix", [1, MAX_SWITCH_RADIX + 1])
+    def test_radix_without_a_table_is_refused(self, radix):
+        with pytest.raises(ValueError, match="crossbar radix"):
+            CrossbarSwitch(Engine(), radix=radix, route_table=(0,), queue_words=8)
 
 
 def test_failed_reply_injections_requeue_one_waiter():

@@ -233,9 +233,30 @@ class TestFastDispatch:
         with pytest.raises(RuntimeError):
             engine.run()
         assert seen == ["a"]
+        assert engine.events_dispatched == 2  # the raising event counts
         assert engine.pending() == 1  # "b" survived the abort
         engine.run()
         assert seen == ["a", "b"]
+        assert engine.events_dispatched == 3
+
+    def test_same_cycle_chain_trips_the_guard_with_the_rest_queued(
+        self, any_engine
+    ):
+        """A delay-0 chain never leaves its cycle: the guard stops it after
+        exactly ``max_events`` dispatches, the next link still queued."""
+        engine = any_engine
+        fired = []
+
+        def link():
+            fired.append(engine.now)
+            engine.schedule(0, link)
+
+        engine.schedule(4, link)
+        with pytest.raises(SimulationError, match=r"exceeded 50 events at cycle 4"):
+            engine.run(max_events=50)
+        assert fired == [4] * 50
+        assert engine.events_dispatched == 50
+        assert engine.pending() == 1
 
     def test_idle_cycles_skipped_counted(self, any_engine):
         engine = any_engine

@@ -280,6 +280,26 @@ def _header(node) -> list:
     return node.decorator_list + [node.args] + ([node.returns] if node.returns else [])
 
 
+def _class_families(modules: dict) -> dict:
+    """``module.Class`` -> its family: the classes joined to it by
+    inheritance, bases resolved by bare name.  A ``self.x`` in one family
+    member's method can read what any member stores."""
+    classes = {
+        f"{name}.{node.name}": node
+        for name, tree in modules.items()
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    family = {qualname: {qualname} for qualname in classes}
+    for qualname, node in classes.items():
+        bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        for other in classes:
+            if other.rsplit(".", 1)[1] in bases and family[other] is not family[qualname]:
+                merged = family[qualname] | family[other]
+                for member in merged:
+                    family[member] = merged
+    return {qualname: min(members) for qualname, members in family.items()}
+
+
 class _Walk:
     """One fixpoint over names, from the module level and the root trees.
 
@@ -287,49 +307,64 @@ class _Walk:
     ``Attribute`` or an identifier inside a non-docstring string (which
     covers ``getattr`` and registries).  ``reads`` is the part that can
     read an attribute: ``Attribute`` loads and string identifiers, not a
-    bare local such as the parameter ``x`` in ``self.x = x``.  An import
-    binding, an ``__all__``/``__slots__`` entry or a lazy export table
-    loads nothing.  ``pending`` holds the definitions whose enclosing code
-    ran but whose name nothing loads yet; ``stores`` maps
+    bare local such as the parameter ``x`` in ``self.x = x``.  A
+    ``self.x`` load inside a class's methods is neither: it goes to
+    ``self_loads`` as ``(family, "x")`` and reaches only that class
+    family's ``x`` (see :func:`_class_families`), so a dead attribute or
+    method sharing its name with a live one elsewhere still fails.  An
+    import binding, an ``__all__``/``__slots__`` entry or a lazy export
+    table loads nothing.  ``pending`` holds the definitions whose
+    enclosing code ran but whose name nothing loads yet; ``stores`` maps
     ``module.Class.attr`` of every ``self.attr`` store in a reached method
     to its line.
     """
 
     def __init__(self, modules: dict) -> None:
+        self.family = _class_families(modules)
         self.loads: set = set()
         self.reads: set = set()
+        self.self_loads: set = set()
         self.stores: dict = {}
         self.pending: list = []
         self.reached: set = set()
         for root in WALK_ROOTS:
             for path in sorted((ROOT / root).rglob("*.py")):
                 tree = ast.parse(path.read_text(), filename=str(path))
-                self._scan(_body(tree), root, "root")
+                self._scan(_body(tree), root, "root", None)
         for name, tree in modules.items():
-            self._scan(_body(tree), name, "module")
+            self._scan(_body(tree), name, "module", None)
         while True:
             ready = [entry for entry in self.pending if self._is_reached(*entry)]
             if not ready:
                 break
             self.pending = [entry for entry in self.pending if entry not in ready]
-            for owner, _, node in ready:
+            for owner, kind, node, klass in ready:
                 qualname = f"{owner}.{node.name}"
                 self.reached.add(qualname)
-                kind = "class" if isinstance(node, ast.ClassDef) else "def"
-                self._scan(_body(node), qualname, kind)
+                if isinstance(node, ast.ClassDef):
+                    self._scan(_body(node), qualname, "class", qualname)
+                else:
+                    self._scan(_body(node), qualname, "def", klass)
 
     @property
     def uncalled(self) -> set:
-        return {f"{owner}.{node.name}" for owner, _, node in self.pending}
+        return {f"{owner}.{node.name}" for owner, _, node, _ in self.pending}
 
-    def _is_reached(self, owner: str, kind: str, node) -> bool:
+    def is_read(self, klass: str, attr: str) -> bool:
+        """Whether reached code reads ``attr`` of class ``klass``."""
+        family = self.family.get(klass)
+        return attr in self.reads or (family, attr) in self.self_loads
+
+    def _is_reached(self, owner: str, kind: str, node, klass) -> bool:
         if kind == "class" and node.name.startswith("__") and node.name.endswith("__"):
             return True  # a reached class's dunders run implicitly
         if any(getattr(d, "id", None) == "register" for d in node.decorator_list):
             return True
+        if kind == "class" and (self.family.get(owner), node.name) in self.self_loads:
+            return True
         return node.name in self.loads
 
-    def _scan(self, nodes: list, owner: str, kind: str) -> None:
+    def _scan(self, nodes: list, owner: str, kind: str, klass) -> None:
         stack = list(nodes)
         while stack:
             node = stack.pop()
@@ -338,7 +373,7 @@ class _Walk:
                 if kind == "root":
                     stack.extend(_body(node))
                 else:
-                    self.pending.append((owner, kind, node))
+                    self.pending.append((owner, kind, node, klass))
                 continue
             if isinstance(node, ast.Assign) and any(
                 getattr(target, "id", None) in _NOT_LOADS for target in node.targets
@@ -349,12 +384,18 @@ class _Walk:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 self.loads.add(node.id)
             elif isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load):
+                on_self = (
+                    kind == "def" and klass is not None
+                    and getattr(node.value, "id", None) == "self"
+                )
+                if not isinstance(node.ctx, ast.Load):
+                    if on_self:
+                        self.stores.setdefault(f"{klass}.{node.attr}", node.lineno)
+                elif on_self:
+                    self.self_loads.add((self.family.get(klass), node.attr))
+                else:
                     self.loads.add(node.attr)
                     self.reads.add(node.attr)
-                elif kind == "def" and getattr(node.value, "id", None) == "self":
-                    key = f"{owner.rsplit('.', 1)[0]}.{node.attr}"
-                    self.stores.setdefault(key, node.lineno)
             elif (
                 isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and _NAME_STRING.fullmatch(node.value)
@@ -407,14 +448,14 @@ class TestReachability:
     def test_every_self_attribute_is_read(self, walk):
         unread = sorted(
             f"{key} (line {line})" for key, line in walk.stores.items()
-            if key.rsplit(".", 1)[1] not in walk.reads
+            if not walk.is_read(*key.rsplit(".", 1))
         )
         assert not unread, f"stored but never read: {', '.join(unread)}"
 
     def test_every_config_field_is_read(self, modules, walk):
         unread = [
             field for field in _config_fields(modules["repro.config"])
-            if field.split(".")[1] not in walk.reads
+            if not walk.is_read(*f"repro.config.{field}".rsplit(".", 1))
         ]
         assert not unread, (
             f"config fields nothing reads: {', '.join(unread)}; a knob that "

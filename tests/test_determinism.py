@@ -24,6 +24,8 @@ import sys
 
 import pytest
 
+from repro.builder.spec import MachineSpec
+from repro.builder.workload import measure_spec
 from repro.config import NetworkConfig
 from repro.hardware import sanitize
 from repro.hardware.engine import Engine
@@ -107,6 +109,29 @@ def test_crossbar_matches_reference_byte_identical(kernel, monkeypatch):
     assert flat[2] == reference[2]     # performance-monitor histograms
     assert flat[3] == reference[3]     # engine.events_dispatched
     assert flat[3] is not None and flat[3] > 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param({"switch_radix": 2, "clusters": 1, "memory_modules": 8},
+                     id="radix-2"),
+        pytest.param({"switch_radix": 4, "clusters": 2, "memory_modules": 16},
+                     id="radix-4"),
+        pytest.param({"switch_radix": 16}, id="radix-16"),
+    ],
+)
+def test_crossbar_matches_reference_on_builder_shapes(shape, monkeypatch):
+    """The flat switch vs the oracle on the sweep's stream workload, at
+    the radixes the paper's 8x8 kernels never build."""
+    spec = MachineSpec(**shape)
+    assert spec.stage_count >= 2  # hops into switches, not only exits
+    flat = _sanitized_traced_run(lambda: measure_spec(spec, blocks=2))
+    monkeypatch.setattr(
+        "repro.hardware.network.CrossbarSwitch", _reference_switch
+    )
+    reference = _traced_run(lambda: measure_spec(spec, blocks=2))
+    assert flat == reference   # cycles, conflicts and events included
 
 
 def test_production_snapshot_matches_its_own_rerun():
